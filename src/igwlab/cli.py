@@ -19,12 +19,10 @@ import numpy as np
 
 from . import analytics as ana
 from . import experiments as xp
-from . import gof
 from . import pruning as pr
 from . import sampler as smp
 from .newick import from_newick, to_newick
 from .offspring import from_spec
-from .rng import CounterStream
 
 _SPEC_FIELDS = {f: t for f, t in (
     ("dist", str), ("lam", float), ("phi", str), ("threshold", float),
@@ -133,6 +131,10 @@ def _write_forest(trees, path):
             fh.write(to_newick(t) + "\n")
 
 
+def _survivors(red: pr.ForestReduction):
+    return [red.extract_reduced(s) for s in np.flatnonzero(red.survived)]
+
+
 def _dispatch(args) -> int:
     verb = args.verb
     if verb == "sample":
@@ -162,33 +164,30 @@ def _dispatch(args) -> int:
 
     if verb == "prune":
         spec = _spec_from(args)
+        if spec.threshold is None or spec.threshold <= 0:
+            print("igwlab prune: a positive threshold --t is required", file=sys.stderr)
+            return 2
         trees = _forest_io(args.infile)
-        out = []
-        log = []
-        for i, t in enumerate(trees):
-            res = pr.gdp_prune(t, spec.phi, spec.threshold or 0.0)
-            if res.survived:
-                out.append(res.tree)
-            log.extend((i, c, off) for c, off in res.cut_log)
-        _write_forest(out, args.out)
+        pf = pr.PrunedForest(trees, spec.phi, spec.threshold)
+        _write_forest(_survivors(pf), args.out)
         if args.log:
+            fa = pf.fa
+            rows = zip(fa.slot_index[pf.cut_slot].tolist(),
+                       (pf.cut_idx - fa.off[pf.cut_slot]).tolist(), pf.cut_piece.tolist())
             with open(args.log, "w") as fh:
                 fh.write("tree,edge_child,offset\n")
-                for row in log:
+                for row in rows:
                     fh.write(",".join(map(str, row)) + "\n")
-        print(f"survived {len(out)}/{len(trees)}")
+        print(f"survived {int(pf.survived.sum())}/{len(trees)}")
         return 0
 
     if verb == "color":
         spec = _spec_from(args)
         trees = _forest_io(args.infile)
-        out = []
-        for i, t in enumerate(trees):
-            res = pr.bernoulli_color(t, spec.p, CounterStream(spec.seed, i, domain=7))
-            if res.survived:
-                out.append(res.tree)
-        _write_forest(out, args.out)
-        print(f"survived {len(out)}/{len(trees)}")
+        # tree i of the file draws from the stream (seed, i) in domain 7
+        cf = pr.color_forest(trees, spec.p, spec.seed, domain=7)
+        _write_forest(_survivors(cf), args.out)
+        print(f"survived {int(cf.survived.sum())}/{len(trees)}")
         return 0
 
     if verb == "dist":

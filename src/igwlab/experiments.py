@@ -35,8 +35,6 @@ from . import pruning as pr
 from . import sampler as smp
 from .newick import from_newick, to_newick
 from .offspring import IGW, OffspringDistribution, estimate_L, from_spec
-from .rng import CounterStream
-from .trees import MetricTree
 
 __all__ = [
     "ExperimentSpec",
@@ -52,7 +50,6 @@ __all__ = [
     "majority",
     "EXPERIMENTS",
     "threshold_for_survival",
-    "first_vertex_branching",
     "LENGTH_SEMIGROUP_COUNTEREXAMPLE",
 ]
 
@@ -83,11 +80,6 @@ class ExperimentSpec:
 
     def distribution(self) -> OffspringDistribution:
         return from_spec(self.dist)
-
-
-def first_vertex_branching(t: MetricTree) -> int:
-    """Children count of the root's child: one draw of the offspring law."""
-    return int(np.count_nonzero(np.asarray(t.parent) == 1))
 
 
 def _require_igw(spec: ExperimentSpec) -> IGW:
@@ -254,8 +246,8 @@ def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
     stats = []
     for trees, _ in smp.iter_forest(d, spec.seed + 1, pilot_n, budget=spec.budget,
                                     lam=lam, chunk=spec.chunk):
-        stats.extend(pr.survival_statistic(t, spec.phi) for t in trees if t is not None)
-    stats = np.sort(np.asarray(stats))
+        stats.append(pr.survival_statistics([t for t in trees if t is not None], spec.phi))
+    stats = np.sort(np.concatenate(stats))
     t = float(stats[int((1.0 - tgt) * len(stats))])
     if spec.phi in ("leaves", "ord"):
         t = max(1.0, round(t))
@@ -529,18 +521,16 @@ def run_coloring(spec: ExperimentSpec) -> dict:
     p -> 1 attractor estimate via the single-edge frequency."""
     d = spec.distribution()
     g_pred = ana.coloring_survival(d, spec.p)
-    gp_t, pmf_thin, _ = ana.coloring_offspring(d, spec.p, "thinned")
+    _, pmf_thin, _ = ana.coloring_offspring(d, spec.p, "thinned")
     _, pmf_printed, _ = ana.coloring_offspring(d, spec.p, "as-printed")
     branch = np.zeros(256, dtype=np.int64)
     n_surv = 0
     ntot = 0
-    ncen = 0
     single = 0
     base = 0
     color_seed = spec.seed ^ 0xC01031
-    for trees, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                      lam=spec.lam, chunk=spec.chunk):
-        ncen += int(cen.sum())
+    for trees, _ in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
+                                    lam=spec.lam, chunk=spec.chunk):
         live = [t for t in trees if t is not None]
         ntot += len(live)
         if live:

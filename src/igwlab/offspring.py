@@ -50,8 +50,6 @@ __all__ = [
     "table",
     "from_spec",
     "igw_pmf",
-    "Q_eval",
-    "Q_derivative",
     "g_value",
     "classify",
     "RegularityProfile",
@@ -177,7 +175,13 @@ class OffspringDistribution:
             yield k, self.pmf(k)
             k += 1
 
+    @property
+    def params(self) -> tuple:
+        """The parameters that fix the law; caches are keyed on them."""
+        raise NotImplementedError
+
     def spec_string(self) -> str:
+        """A :func:`from_spec` string that rebuilds exactly this law."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -208,8 +212,12 @@ class IGW(OffspringDistribution):
         self.q = q
         self.inv_q = 1.0 / q
 
+    @property
+    def params(self) -> tuple:
+        return (self.q,)
+
     def spec_string(self) -> str:
-        return f"igw:{self.q:g}"
+        return f"igw:{self.q!r}"
 
     def pmf(self, k: int) -> float:
         q = self.q
@@ -339,8 +347,12 @@ class FiniteTable(OffspringDistribution):
         self.probs.setflags(write=False)
         self._k = np.arange(len(p), dtype=np.float64)
 
+    @property
+    def params(self) -> tuple:
+        return tuple(self.probs.tolist())
+
     def spec_string(self) -> str:
-        return "table:[" + ",".join(f"{v:g}" for v in self.probs) + "]"
+        return f"table:[{','.join(map(repr, self.params))}]"
 
     @property
     def kmax(self) -> int:
@@ -441,8 +453,12 @@ class ZipfCritical(OffspringDistribution):
         if not 0.0 < self.q0 < 1.0:
             raise ValueError(f"construction infeasible: q0 = {self.q0!r}")
 
+    @property
+    def params(self) -> tuple:
+        return (self.alpha,)
+
     def spec_string(self) -> str:
-        return f"zipf:{self.alpha:g}"
+        return f"zipf:{self.alpha!r}"
 
     def pmf(self, k: int) -> float:
         if k == 0:
@@ -557,8 +573,12 @@ class GeometricCritical(OffspringDistribution):
         self.c = (1.0 - r) ** 2 / (r * r * (2.0 - r))
         self.q0 = 1.0 - (1.0 - r) / (2.0 - r)
 
+    @property
+    def params(self) -> tuple:
+        return (self.r,)
+
     def spec_string(self) -> str:
-        return f"geom:{self.r:g}"
+        return f"geom:{self.r!r}"
 
     def pmf(self, k: int) -> float:
         if k == 0:
@@ -678,18 +698,6 @@ def from_spec(spec: str) -> OffspringDistribution:
 
 def igw_pmf(q: float, k: int) -> float:
     return IGW(q).pmf(k)
-
-
-def Q_eval(d: OffspringDistribution, z: float) -> float:
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("z must lie in [0, 1]")
-    return d.Q(z)
-
-
-def Q_derivative(d: OffspringDistribution, z: float, m: int = 1) -> float:
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("z must lie in [0, 1]")
-    return d.Q_prime(z) if m == 1 else d.Q_deriv(z, m)
 
 
 def g_value(d: OffspringDistribution, x: float, route: str = "direct") -> float:

@@ -21,19 +21,21 @@ Threshold comparisons are closed (>= t).  Points exactly at a vertex use
 the vertex's own subtree (all child edges together), which is how the
 sum-type functionals can keep a vertex whose child edges all die.
 
-Horton pruning (remove all leaves, then series-reduce) is also implemented
-directly and coincides with the order functional at threshold 1.  Bernoulli
-leaf coloring keeps the minimal subtree spanning the root and a random leaf
-subset.  Hereditary reduction accepts an arbitrary predicate on metric
-trees: vertices are decided exactly, edge cuts by bisection (exact when the
-predicate is a thresholded functional, which routes to the main operator).
-
-All operations are pure; coloring takes an explicit stream.
+One engine does every reduction: a chunk of trees becomes global arrays
+whose BFS levels are swept with segment reductions, values bottom-up and
+the series reduction of the keep set top-down.  The per-tree functions are
+one-tree calls of it.  Horton pruning removes all leaves; Bernoulli leaf
+coloring keeps the subtree spanning the root and a random leaf subset.
+Hereditary reduction takes an arbitrary predicate: vertices are decided
+exactly and edge cuts by bisection on descendant trees, independently of
+the engine's values.  All operations are pure; coloring takes an explicit
+stream or seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -44,7 +46,6 @@ from .trees import (
     MetricTree,
     TreePoint,
     descendant_subtree,
-    series_reduce,
 )
 
 __all__ = [
@@ -61,8 +62,8 @@ __all__ = [
     "hereditary_reduce",
     "bernoulli_color",
     "semigroup_check",
-    "first_vertex_thinning",
     "survival_statistic",
+    "survival_statistics",
     "check_monotone",
 ]
 
@@ -74,102 +75,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhiFunctional:
-    """A monotone subtree functional with its along-edge extension law.
+    """A builtin monotone subtree functional and its along-edge law.
 
-    ``vertex_fn(tree) -> F`` gives phi of the descendant tree of every
-    vertex; ``interior_fn(tree, F) -> V`` gives, for each edge (named by its
-    child), the constant interior value (constant law only; additive-law
-    interiors are F[child] + distance-to-child and need no table).
+    ``law`` is "additive" (the value along an edge with child c is F[c]
+    plus the distance to c) or "constant" (edge interiors carry one value,
+    a function of F[c]).  Values come from the forest engine's level sweep.
     """
 
     name: str
     law: str  # "additive" | "constant"
-    vertex_fn: Callable
-    interior_fn: Callable | None = None
 
-    def vertex_values(self, t: MetricTree) -> np.ndarray:
-        return self.vertex_fn(t)
-
-    def edge_interior(self, t: MetricTree, F: np.ndarray) -> np.ndarray:
-        if self.law == "additive":
-            return F
-        if self.interior_fn is None:
-            raise ValueError(f"constant-law functional {self.name} needs interior_fn")
-        return self.interior_fn(t, F)
+    def vertex_values(self, t) -> np.ndarray:
+        """phi of the descendant tree of every vertex of one tree."""
+        if t.is_empty:
+            return np.zeros(1)
+        return _forest_values(_ForestArrays([t]), self)[0]
 
 
-def _values_height(t: MetricTree) -> np.ndarray:
-    n = t.n_vertices
-    F = np.zeros(n)
-    par = t.parent
-    ln = t.length
-    for v in range(n - 1, 0, -1):
-        c = F[v] + ln[v]
-        p = par[v]
-        if c > F[p]:
-            F[p] = c
-    return F
-
-
-def _values_length(t: MetricTree) -> np.ndarray:
-    n = t.n_vertices
-    F = np.zeros(n)
-    par = t.parent
-    ln = t.length
-    for v in range(n - 1, 0, -1):
-        F[par[v]] += F[v] + ln[v]
-    return F
-
-
-def _values_leaves(t: MetricTree) -> np.ndarray:
-    n = t.n_vertices
-    F = np.zeros(n)
-    par = t.parent
-    nc = t.children_counts()
-    for v in range(n - 1, 0, -1):
-        F[par[v]] += 1.0 if nc[v] == 0 else F[v]
-    return F
-
-
-def _interior_leaves(t: MetricTree, F: np.ndarray) -> np.ndarray:
-    return np.maximum(F, 1.0)  # a bare edge segment has one leaf
-
-
-def _vertex_orders(t) -> np.ndarray:
-    """Horton-Strahler vertex orders (leaf = 1, +1 on ties of the max)."""
-    n = t.n_vertices
-    o = np.ones(n, dtype=np.int64)
-    top = np.zeros(n, dtype=np.int64)
-    tie = np.zeros(n, dtype=np.int64)
-    par = t.parent
-    for v in range(n - 1, 0, -1):
-        if top[v]:
-            o[v] = top[v] + (1 if tie[v] >= 2 else 0)
-        p = par[v]
-        if o[v] > top[p]:
-            top[p] = o[v]
-            tie[p] = 1
-        elif o[v] == top[p]:
-            tie[p] += 1
-    if top[0]:
-        o[0] = top[0] + (1 if tie[0] >= 2 else 0)
-    return o
-
-
-def _values_ord(t: MetricTree) -> np.ndarray:
-    # phi = ord - 1; the descendant tree of any vertex v has order o[v]
-    # (stemless convention at branch points), and 0 on the empty tree
-    return (_vertex_orders(t) - 1).astype(np.float64)
-
-
-def _interior_ord(t: MetricTree, F: np.ndarray) -> np.ndarray:
-    return F  # planted subtree above an edge has the child's vertex order
-
-
-PHI_HEIGHT = PhiFunctional("height", "additive", _values_height)
-PHI_LENGTH = PhiFunctional("length", "additive", _values_length)
-PHI_LEAVES = PhiFunctional("leaves", "constant", _values_leaves, _interior_leaves)
-PHI_ORD = PhiFunctional("ord", "constant", _values_ord, _interior_ord)
+PHI_HEIGHT = PhiFunctional("height", "additive")
+PHI_LENGTH = PhiFunctional("length", "additive")
+PHI_LEAVES = PhiFunctional("leaves", "constant")
+PHI_ORD = PhiFunctional("ord", "constant")
 
 _BUILTINS = {f.name: f for f in (PHI_HEIGHT, PHI_LENGTH, PHI_LEAVES, PHI_ORD)}
 
@@ -181,8 +107,320 @@ def phi_by_name(name: str) -> PhiFunctional:
         raise ValueError(f"unknown functional {name!r}; choose from {sorted(_BUILTINS)}") from None
 
 
+def _as_phi(phi: PhiFunctional | str) -> PhiFunctional:
+    return phi_by_name(phi) if isinstance(phi, str) else phi
+
+
 # --------------------------------------------------------------------- #
-# Generalized dynamical pruning                                           #
+# The forest engine                                                       #
+# --------------------------------------------------------------------- #
+
+
+class _ForestArrays:
+    """A chunk of trees concatenated into global parallel arrays.
+
+    The breadth-first layout of each tree is preserved, so within any
+    global BFS level the parent ids are nondecreasing and every per-parent
+    reduction is a sorted-segment ``reduceat``; children of a vertex all
+    live in the next level, so level-ordered passes finalize values in one
+    sweep per direction.  A single tree's levels are already contiguous, so
+    its level slices are plain slices and no sort is needed.
+    """
+
+    def __init__(self, trees):
+        live = [i for i, t in enumerate(trees) if t is not None and not t.is_empty]
+        self.n_slots = len(trees)
+        self.slot_index = np.array(live, dtype=np.int64)
+        trees = [trees[i] for i in live]
+        R = self.R = len(trees)
+        self.metric = bool(trees) and isinstance(trees[0], MetricTree)
+        if R == 1:
+            t = trees[0]
+            V = t.n_vertices
+            off = np.array([0, V])
+            par = t.parent.astype(np.int64)
+            par[0] = 0                        # the root points at itself
+            self.gorder, self.gbounds = None, t.gen_starts()
+            self.slot = np.zeros(V, dtype=np.int64)
+            self.nchild = t.children_counts().astype(np.int64)
+        else:
+            ns = np.array([t.n_vertices for t in trees], dtype=np.int64)
+            off = np.zeros(R + 1, dtype=np.int64)
+            np.cumsum(ns, out=off[1:])
+            V = int(off[-1])
+            par = np.concatenate([t.parent for t in trees] or [[]]).astype(np.int64)
+            par += np.repeat(off[:-1], ns)
+            par[off[:-1]] = off[:-1]          # roots point at themselves
+            gen = np.concatenate([np.repeat(np.arange(len(gs) - 1), np.diff(gs))
+                                  for gs in (t.gen_starts() for t in trees)] or [[]])
+            self.gorder = np.argsort(gen, kind="stable")
+            ngen = int(gen.max()) + 1 if V else 0
+            self.gbounds = np.searchsorted(gen[self.gorder], np.arange(ngen + 1))
+            self.slot = np.repeat(np.arange(R, dtype=np.int64), ns)
+            self.nchild = np.bincount(par, minlength=V)
+            self.nchild[off[:-1]] -= 1
+        if self.metric:
+            ln = trees[0].length if R == 1 else np.concatenate([t.length for t in trees])
+        else:
+            ln = np.zeros(V)
+        self.off, self.par, self.ln, self.V = off, par, ln, V
+        self.ngen = len(self.gbounds) - 1
+        self.is_root = np.zeros(V, dtype=bool)
+        self.is_root[off[:-1]] = True
+
+    def gen_slice(self, g):
+        lo, hi = self.gbounds[g], self.gbounds[g + 1]
+        return slice(lo, hi) if self.gorder is None else self.gorder[lo:hi]
+
+    @staticmethod
+    def _segments(p):
+        """Starts of the runs of equal values in sorted ``p``, and the values."""
+        head = np.empty(len(p), dtype=bool)
+        head[:1] = True
+        np.not_equal(p[1:], p[:-1], out=head[1:])
+        cut = head.nonzero()[0]
+        return cut, p[cut]
+
+
+def _forest_values(fa: _ForestArrays, phi: PhiFunctional):
+    """(F, V): phi(Delta_v) on a forest by descending BFS levels, and for a
+    constant law the value on the edge above each vertex (None if additive)."""
+    V, par, ln = fa.V, fa.par, fa.ln
+    name = phi.name
+    if name == "ord":
+        # Horton-Strahler vertex orders: leaf 1, the max child order, +1
+        # when at least two children attain it; phi = ord - 1
+        o = np.ones(V, dtype=np.int64)
+        top = np.zeros(V, dtype=np.int64)   # max child order
+        tie = np.zeros(V, dtype=np.int64)   # how many children attain it
+        for g in range(fa.ngen - 1, 0, -1):
+            seg = fa.gen_slice(g)
+            o[seg] = np.maximum(top[seg] + (tie[seg] >= 2), 1)
+            og = o[seg]
+            cut, pu = fa._segments(par[seg])
+            omax = np.maximum.reduceat(og, cut)
+            top[pu] = omax
+            sizes = np.diff(np.append(cut, len(og)))
+            tie[pu] = np.add.reduceat((og == np.repeat(omax, sizes)).astype(np.int64), cut)
+        roots = fa.off[:-1]
+        o[roots] = top[roots] + (tie[roots] >= 2)
+        F = (o - 1).astype(np.float64)
+        return F, F  # the planted tree above an edge has the child's order
+    F = np.zeros(V)
+    for g in range(fa.ngen - 1, 0, -1):
+        seg = fa.gen_slice(g)
+        cut, pu = fa._segments(par[seg])
+        if name == "height":
+            F[pu] = np.maximum.reduceat(F[seg] + ln[seg], cut)
+        elif name == "length":
+            F[pu] = np.add.reduceat(F[seg] + ln[seg], cut)
+        elif name == "leaves":
+            contrib = np.where(fa.nchild[seg] == 0, 1.0, F[seg])
+            F[pu] = np.add.reduceat(contrib, cut)
+        else:
+            raise ValueError(f"the engine supports the builtin functionals, not {name!r}")
+    if name == "leaves":
+        return F, np.maximum(F, 1.0)  # a bare edge segment has one leaf
+    return F, None
+
+
+class ForestReduction:
+    """Keep-set reduction of a forest: the shared back half of pruning and
+    coloring.
+
+    Given per-vertex ``keep`` plus optional interior cut points, computes
+    the series-reduced structure in place: anchors (nearest reduced-tree
+    ancestor), merged edge lengths, per-tree edge counts, survival, and the
+    branch degree at the first vertex of each reduced tree.  Chain lengths
+    add in root-to-leaf order.
+    """
+
+    def __init__(self, fa: _ForestArrays, keep, cutmask=None, cut_piece=None):
+        self.fa = fa
+        V, par, ln = fa.V, fa.par, fa.ln
+        self.keep = keep
+        if cutmask is None:
+            cutmask = np.zeros(V, dtype=bool)
+            cut_piece = np.zeros(0)
+        self.cut_piece = cut_piece
+        # kept children plus cut leaves (a cut edge's child is never kept)
+        kcnt = np.bincount(par[(keep | cutmask) & ~fa.is_root], minlength=V)
+        real = keep & (fa.is_root | (kcnt != 1))
+        anchor = par.copy()  # level-1 vertices anchor at their root
+        acc = ln.copy()
+        for g in range(2, fa.ngen):
+            seg = fa.gen_slice(g)
+            if not keep[seg].any():
+                break  # the kept set hangs from the roots: nothing deeper
+            p = par[seg]
+            preal = real[p]
+            anchor[seg] = np.where(preal, p, anchor[p])
+            acc[seg] += np.where(preal, 0.0, acc[p])
+        self.kcnt, self.anchor, self.acc = kcnt, anchor, acc
+        self.cut_idx = cut_idx = cutmask.nonzero()[0]
+        w = par[cut_idx]
+        wreal = real[w]
+        self.cut_slot = fa.slot[cut_idx]
+        self.cut_parent_red = np.where(wreal, w, anchor[w])
+        self.cut_len_red = cut_piece + np.where(wreal, 0.0, acc[w])
+        body = real & ~fa.is_root
+        self.red_edge_vertices = body.nonzero()[0]
+        self.red_edges = np.bincount(fa.slot[body | cutmask], minlength=fa.R)
+        self.survived = self.red_edges > 0
+
+    @cached_property
+    def first_branch(self) -> np.ndarray:
+        """Per live slot: the branch degree at the first vertex of the
+        reduced tree (0 when it is a bare edge)."""
+        fa, keep, kcnt = self.fa, self.keep, self.kcnt
+        # first kept child, to walk degree-2 chains up from the stem
+        fkc = np.full(fa.V, -1, dtype=np.int64)
+        kept_nonroot = (keep & ~fa.is_root).nonzero()[0]
+        fkc[fa.par[kept_nonroot]] = kept_nonroot
+        fkc[fa.par[self.cut_idx]] = -2  # chain runs into a cut leaf
+        out = np.zeros(fa.R, dtype=np.int64)
+        for s in self.survived.nonzero()[0]:
+            v = fa.off[s] + 1
+            if not keep[v]:
+                continue  # stem cut: a bare edge remains
+            while kcnt[v] == 1:
+                v = fkc[v]
+                if v < 0:
+                    break
+            out[s] = kcnt[v] if v >= 0 else 0
+        return out
+
+    def pooled_lengths(self) -> np.ndarray:
+        """Edge lengths of all reduced surviving trees, pooled."""
+        return np.concatenate((self.acc[self.red_edge_vertices], self.cut_len_red))
+
+    def extract_reduced(self, live_slot: int):
+        """The reduced tree of one live slot.
+
+        Siblings come in the order of the kept tree's breadth-first layout,
+        where a cut leaf follows the last original child of its parent.
+        """
+        fa = self.fa
+        if not self.survived[live_slot]:
+            return MetricTree.empty() if fa.metric else CombinatorialTree.empty()
+        lo, hi = fa.off[live_slot], fa.off[live_slot + 1]
+        body = self.red_edge_vertices
+        mine = body[body.searchsorted(lo): body.searchsorted(hi)]
+        cuts = np.arange(*self.cut_slot.searchsorted([live_slot, live_slot + 1]))
+        w = fa.par[self.cut_idx[cuts]]
+        last = fa.par[lo:hi].searchsorted(w, side="right") - 1 + lo
+        order = np.argsort(np.concatenate((2 * mine, 2 * last + 1)), kind="stable")
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(1, len(order) + 1)
+        new_of = np.zeros(hi - lo, dtype=np.int64)  # reduced ids; the root is 0
+        new_of[mine - lo] = rank[:len(mine)]
+        up = np.concatenate((self.anchor[mine], self.cut_parent_red[cuts]))[order] - lo
+        parent = np.concatenate(([-1], new_of[up]))
+        length = np.concatenate(([0.0], np.concatenate(
+            (self.acc[mine], self.cut_len_red[cuts]))[order]))
+        if fa.metric:
+            return MetricTree(parent, length, validate=True)
+        return CombinatorialTree(parent, validate=True)
+
+    def scatter(self, per_live, fill=0):
+        """Per-live-slot values back onto the original chunk positions."""
+        per_live = np.asarray(per_live)
+        out = np.full(self.fa.n_slots, fill, dtype=per_live.dtype)
+        out[self.fa.slot_index] = per_live
+        return out
+
+
+class PrunedForest(ForestReduction):
+    """Generalized dynamical pruning of a whole chunk of trees, plus the
+    first-branch-point thinning pair (k1, m1) of planted trees: the
+    children of the stem's upper vertex, and how many of their planted
+    subtrees survive the pruning on their own.
+    """
+
+    def __init__(self, trees, phi: PhiFunctional | str, threshold: float):
+        phi = _as_phi(phi)
+        if threshold <= 0:
+            raise ValueError("the forest path needs a positive threshold")
+        thr = float(threshold)
+        fa = _ForestArrays(trees)
+        F, Vint = _forest_values(fa, phi)
+        if phi.law == "additive":
+            top = F + fa.ln  # the value just below each vertex's parent
+            alive = top > thr
+            keep = F >= thr
+            cutmask = alive & ~keep & ~fa.is_root
+            cut_piece = top[cutmask] - thr
+        else:
+            alive = Vint >= thr
+            keep = alive.copy()
+            cutmask = None
+            cut_piece = None
+        keep |= fa.is_root
+        super().__init__(fa, keep, cutmask, cut_piece)
+        self.alive = alive & ~fa.is_root
+
+    @property
+    def k1(self) -> np.ndarray:
+        return self.fa.nchild[self.fa.off[:-1] + 1]
+
+    @property
+    def m1(self) -> np.ndarray:
+        fa = self.fa
+        first = fa.off[:-1] + 1
+        kid_of_first = fa.par == np.repeat(first, np.diff(fa.off))
+        kid_of_first[fa.off[:-1]] = False
+        return np.bincount(fa.slot[kid_of_first & self.alive], minlength=fa.R)
+
+
+def _spanning_reduction(fa: _ForestArrays, chosen) -> ForestReduction:
+    """Reduce each tree to the minimal subtree spanning its root and the
+    chosen vertices."""
+    keep = np.zeros(fa.V, dtype=bool)
+    keep[chosen] = True
+    for g in range(fa.ngen - 1, 0, -1):
+        seg = fa.gen_slice(g)
+        keep[fa.par[seg][keep[seg]]] = True
+    keep[fa.off[:-1]] = True
+    return ForestReduction(fa, keep)
+
+
+def color_forest(trees, p: float, seed: int, replicate0: int = 0,
+                 domain: int = 0) -> ForestReduction:
+    """Bernoulli leaf coloring of a whole chunk, one stream per tree.
+
+    Tree i (chunk position) uses the stream (seed, replicate0 + i, domain);
+    leaf number r of a tree consumes that stream's r-th uniform, exactly
+    like feeding :func:`bernoulli_color` a fresh ``CounterStream`` per tree.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("p must lie in [0, 1)")
+    fa = _ForestArrays(trees)
+    from .rng import philox4x32, stream_keys, _to_unit
+
+    leaves = np.flatnonzero((fa.nchild == 0) & ~fa.is_root)
+    lslot = fa.slot[leaves]
+    cut, _ = fa._segments(lslot)  # leaves are slot-sorted (global id order)
+    sizes = np.diff(np.concatenate((cut, [len(leaves)])))
+    rank = np.arange(len(leaves), dtype=np.int64) - np.repeat(cut, sizes)
+    keys = stream_keys(seed, fa.slot_index[lslot] + replicate0)
+    w01, w23 = philox4x32(keys, (rank >> 1).astype(np.uint64), domain)
+    u = np.where(rank & 1, _to_unit(w23), _to_unit(w01))
+    return _spanning_reduction(fa, leaves[u < (1.0 - p)])
+
+
+def survival_statistics(trees, phi: PhiFunctional | str) -> np.ndarray:
+    """:func:`survival_statistic` of every tree of a chunk (0 for None)."""
+    phi = _as_phi(phi)
+    fa = _ForestArrays(trees)
+    F, Vint = _forest_values(fa, phi)
+    first = fa.off[:-1] + 1
+    out = np.zeros(fa.n_slots)
+    out[fa.slot_index] = F[first] + fa.ln[first] if phi.law == "additive" else Vint[first]
+    return out
+
+
+# --------------------------------------------------------------------- #
+# Per-tree operations                                                     #
 # --------------------------------------------------------------------- #
 
 
@@ -192,72 +430,28 @@ class PrunedResult:
 
     ``cut_log`` lists the exact interior cut points as (edge child id,
     offset from the parent-side endpoint) in the *input* tree's labeling;
-    constant-law functionals never cut interiors.
+    constant-law functionals never cut interiors.  ``keep`` marks the input
+    vertices that lie in the kept set (the root always does).
     """
 
     tree: MetricTree
     survived: bool
     cut_log: tuple = ()
+    keep: np.ndarray | None = None
 
 
 def gdp_prune(t: MetricTree, phi: PhiFunctional | str, threshold: float) -> PrunedResult:
     """Keep the root and all points scoring >= threshold; series-reduce."""
-    if isinstance(phi, str):
-        phi = phi_by_name(phi)
+    phi = _as_phi(phi)
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     if not isinstance(t, MetricTree):
         raise TypeError("gdp_prune operates on metric trees")
-    if t.is_empty:
-        return PrunedResult(t, False)
-    if threshold == 0.0:
-        return PrunedResult(t, True)  # phi >= 0 everywhere
-    F = phi.vertex_values(t)
-    keep, cuts = _keep_and_cuts(t, phi, F, threshold)
-    tree = _assemble(t, keep, cuts)
-    return PrunedResult(tree, not tree.is_empty, tuple(cuts))
-
-
-def _keep_and_cuts(t: MetricTree, phi: PhiFunctional, F: np.ndarray, thr: float):
-    n = t.n_vertices
-    ln = t.length
-    keep = np.zeros(n, dtype=bool)
-    keep[0] = True
-    cuts = []
-    if phi.law == "additive":
-        keep[1:] = F[1:] >= thr
-        # partial pieces on edges whose child dies
-        dead = np.flatnonzero(~keep[1:]) + 1
-        s = F[dead] + ln[dead] - thr
-        has = (s > 0.0) & (s < ln[dead])
-        for c, piece in zip(dead[has], s[has]):
-            cuts.append((int(c), float(piece)))
-    else:
-        V = phi.edge_interior(t, F)
-        keep[1:] = V[1:] >= thr
-    if __debug__ and n > 1:
-        kept = np.flatnonzero(keep[1:]) + 1
-        assert keep[t.parent[kept]].all(), "monotonicity violated: kept set disconnected"
-    return keep, cuts
-
-
-def _assemble(t: MetricTree, keep: np.ndarray, cuts) -> MetricTree:
-    """Build the kept tree (old vertices + cut leaves) and series-reduce."""
-    old = np.flatnonzero(keep)
-    if len(old) == 1 and not cuts:
-        return MetricTree.empty()
-    new_of = np.full(t.n_vertices, -1, dtype=np.int64)
-    new_of[old] = np.arange(len(old))
-    m = len(old) + len(cuts)
-    parent = np.empty(m, dtype=np.int32)
-    length = np.zeros(m)
-    parent[0] = -1
-    parent[new_of[old[1:]]] = new_of[t.parent[old[1:]]]
-    length[new_of[old[1:]]] = t.length[old[1:]]
-    for i, (c, piece) in enumerate(cuts):
-        parent[len(old) + i] = new_of[t.parent[c]]
-        length[len(old) + i] = piece
-    return series_reduce(MetricTree(parent, length, validate=True))
+    if t.is_empty or threshold == 0.0:  # phi >= 0 everywhere
+        return PrunedResult(t, not t.is_empty, keep=np.ones(t.n_vertices, dtype=bool))
+    pf = PrunedForest([t], phi, threshold)
+    cuts = tuple(zip(pf.cut_idx.tolist(), pf.cut_piece.tolist()))
+    return PrunedResult(pf.extract_reduced(0), bool(pf.survived[0]), cuts, pf.keep)
 
 
 def survival_statistic(t: MetricTree, phi: PhiFunctional | str) -> float:
@@ -267,69 +461,33 @@ def survival_statistic(t: MetricTree, phi: PhiFunctional | str) -> float:
     for additive laws; >= for constant laws, whose sup is attained).
     For phi = length this is total length, for phi = height the height.
     """
-    if isinstance(phi, str):
-        phi = phi_by_name(phi)
-    if t.is_empty:
-        return 0.0
-    F = phi.vertex_values(t)
-    if phi.law == "additive":
-        return float(F[1] + t.length[1])
-    return float(phi.edge_interior(t, F)[1])
-
-
-def first_vertex_thinning(t: MetricTree, phi: PhiFunctional | str, threshold: float):
-    """(k, m, survived): branching of the root's child in T, how many of its
-    k planted subtrees survive the pruning on their own, and whether the
-    whole tree survives.  The m >= 1 cells of the thinning law are exact:
-    each subtree is an independent copy of the tree law and survives with
-    the tree's own survival probability.
-    """
-    if isinstance(phi, str):
-        phi = phi_by_name(phi)
-    if t.is_empty:
-        return 0, 0, False
-    F = phi.vertex_values(t)
-    ln = t.length
-    if phi.law == "additive":
-        def live(c):
-            return F[c] + ln[c] > threshold
-    else:
-        V = phi.edge_interior(t, F)
-
-        def live(c):
-            return V[c] >= threshold
-    survived = bool(live(1))
-    kids = np.flatnonzero(t.parent == 1)
-    m = int(sum(1 for c in kids if live(c)))
-    return int(len(kids)), m, survived
-
-
-# --------------------------------------------------------------------- #
-# Horton pruning                                                          #
-# --------------------------------------------------------------------- #
+    return float(survival_statistics([t], phi)[0])
 
 
 def horton_prune(t):
     """Remove all leaves, then series-reduce; works on both tree kinds."""
     if t.is_empty:
         return t
-    metric = isinstance(t, MetricTree)
-    nc = t.children_counts()
-    keep = np.asarray(nc > 0).copy()
+    keep = t.children_counts() > 0
     keep[0] = True
-    old = np.flatnonzero(keep)
-    if len(old) == 1:
-        return MetricTree.empty() if metric else CombinatorialTree.empty()
-    new_of = np.full(t.n_vertices, -1, dtype=np.int64)
-    new_of[old] = np.arange(len(old))
-    parent = np.empty(len(old), dtype=np.int32)
-    parent[0] = -1
-    parent[new_of[old[1:]]] = new_of[t.parent[old[1:]]]
-    if metric:
-        length = np.zeros(len(old))
-        length[new_of[old[1:]]] = t.length[old[1:]]
-        return series_reduce(MetricTree(parent, length, validate=True))
-    return series_reduce(CombinatorialTree(parent, validate=True))
+    return ForestReduction(_ForestArrays([t]), keep).extract_reduced(0)
+
+
+def bernoulli_color(t: MetricTree, p: float, stream: CounterStream) -> PrunedResult:
+    """Minimal subtree spanning the root and a Bernoulli(1-p) leaf sample.
+
+    Each leaf is independently *selected* with probability 1-p (one uniform
+    per leaf, in vertex order); unselected structure is erased and chains
+    series-reduced.  No selected leaves leaves the empty tree.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError("p must lie in [0, 1)")
+    if t.is_empty:
+        return PrunedResult(t, False, keep=np.ones(1, dtype=bool))
+    fa = _ForestArrays([t])
+    leaves = (fa.nchild == 0).nonzero()[0]
+    red = _spanning_reduction(fa, leaves[stream.bernoulli(len(leaves), 1.0 - p)])
+    return PrunedResult(red.extract_reduced(0), bool(red.survived[0]), keep=red.keep)
 
 
 # --------------------------------------------------------------------- #
@@ -371,7 +529,7 @@ def hereditary_reduce(t: MetricTree, keep_pred: Callable[[MetricTree], bool] | N
     if keep_pred is None:
         raise ValueError("provide keep_pred or (phi, threshold)")
     if t.is_empty:
-        return PrunedResult(t, False)
+        return PrunedResult(t, False, keep=np.ones(1, dtype=bool))
     n = t.n_vertices
     ok = np.zeros(n, dtype=bool)
     for v in range(n - 1, 0, -1):
@@ -396,38 +554,11 @@ def hereditary_reduce(t: MetricTree, keep_pred: Callable[[MetricTree], bool] | N
             else:
                 hi = mid
         cuts.append((int(c), 0.5 * (lo + hi)))
-    tree = _assemble(t, keep, cuts)
-    return PrunedResult(tree, not tree.is_empty, tuple(cuts))
-
-
-# --------------------------------------------------------------------- #
-# Bernoulli leaf coloring                                                 #
-# --------------------------------------------------------------------- #
-
-
-def bernoulli_color(t: MetricTree, p: float, stream: CounterStream) -> PrunedResult:
-    """Minimal subtree spanning the root and a Bernoulli(1-p) leaf sample.
-
-    Each leaf is independently *selected* with probability 1-p (one uniform
-    per leaf, in vertex order); unselected structure is erased and chains
-    series-reduced.  No selected leaves leaves the empty tree.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1)")
-    if t.is_empty:
-        return PrunedResult(t, False)
-    nc = t.children_counts()
-    leaves = np.flatnonzero(nc == 0)
-    sel = stream.bernoulli(len(leaves), 1.0 - p)
-    keep = np.zeros(t.n_vertices, dtype=bool)
-    keep[leaves[sel]] = True
-    par = t.parent
-    for v in range(t.n_vertices - 1, 0, -1):  # propagate to ancestors
-        if keep[v]:
-            keep[par[v]] = True
-    keep[0] = True
-    tree = _assemble(t, keep, [])
-    return PrunedResult(tree, not tree.is_empty)
+    cutmask = np.zeros(n, dtype=bool)
+    cutmask[[c for c, _ in cuts]] = True
+    red = ForestReduction(_ForestArrays([t]), keep, cutmask, np.array([s for _, s in cuts]))
+    tree = red.extract_reduced(0)
+    return PrunedResult(tree, not tree.is_empty, tuple(cuts), keep)
 
 
 # --------------------------------------------------------------------- #
@@ -442,282 +573,12 @@ def semigroup_check(t: MetricTree, phi: PhiFunctional | str, s: float, t2: float
     Returns (equal, two_step, one_step); equality is canonical-shape
     equality plus lengths within atol after canonical alignment.
     """
-    if isinstance(phi, str):
-        phi = phi_by_name(phi)
+    phi = _as_phi(phi)
     from .trees import almost_isometric
 
     two = gdp_prune(gdp_prune(t, phi, s).tree, phi, t2).tree
     one = gdp_prune(t, phi, s + t2).tree
     return almost_isometric(two, one, atol), two, one
-
-
-# --------------------------------------------------------------------- #
-# Forest-vectorized reductions                                            #
-# --------------------------------------------------------------------- #
-
-
-class _ForestArrays:
-    """A chunk of trees concatenated into global parallel arrays.
-
-    The breadth-first layout of each tree is preserved, so within any
-    global BFS level the parent ids are nondecreasing and every per-parent
-    reduction is a sorted-segment ``reduceat``; children of a vertex all
-    live in the next level, so level-ordered passes finalize values in one
-    sweep per direction.
-    """
-
-    def __init__(self, trees):
-        live = [(i, t) for i, t in enumerate(trees)
-                if t is not None and not t.is_empty]
-        self.n_slots = len(trees)
-        self.slot_index = np.array([i for i, _ in live], dtype=np.int64)
-        trees = [t for _, t in live]
-        R = len(trees)
-        self.R = R
-        self.metric = bool(trees) and isinstance(trees[0], MetricTree)
-        ns = np.array([t.n_vertices for t in trees], dtype=np.int64)
-        off = np.concatenate(([0], np.cumsum(ns))).astype(np.int64)
-        V = int(off[-1])
-        par = np.empty(V, dtype=np.int64)
-        ln = np.zeros(V)
-        gen = np.empty(V, dtype=np.int64)
-        for i, t in enumerate(trees):
-            lo, hi = off[i], off[i + 1]
-            par[lo:hi] = t.parent
-            par[lo] = lo                      # roots point at themselves
-            par[lo + 1: hi] += lo
-            if self.metric:
-                ln[lo:hi] = t.length
-            gs = t.gen_starts()
-            gen[lo:hi] = np.repeat(np.arange(len(gs) - 1), np.diff(gs))
-        self.off, self.par, self.ln, self.gen, self.V = off, par, ln, gen, V
-        self.slot = np.repeat(np.arange(R, dtype=np.int64), ns)
-        order = np.argsort(gen, kind="stable")
-        self.ngen = int(gen.max()) + 1 if V else 0
-        self.gbounds = np.searchsorted(gen[order], np.arange(self.ngen + 1))
-        self.gorder = order
-        self.is_root = np.zeros(V, dtype=bool)
-        self.is_root[off[:-1]] = True
-        self.nchild = np.bincount(par, minlength=V)
-        self.nchild[off[:-1]] -= 1
-
-    def gen_slice(self, g):
-        return self.gorder[self.gbounds[g]: self.gbounds[g + 1]]
-
-    @staticmethod
-    def _segments(p):
-        cut = np.concatenate(([0], np.flatnonzero(np.diff(p)) + 1))
-        return cut, p[cut]
-
-
-class ForestReduction:
-    """Keep-set reduction of a forest: the shared back half of pruning and
-    coloring.
-
-    Given per-vertex ``keep`` plus optional interior cut points, computes
-    the series-reduced structure in place: anchors (nearest reduced-tree
-    ancestor), merged edge lengths, per-tree edge counts, survival, and the
-    branch degree at the first vertex of each reduced tree.
-    """
-
-    def __init__(self, fa: _ForestArrays, keep, cutmask=None, cut_piece=None):
-        self.fa = fa
-        V, par, ln = fa.V, fa.par, fa.ln
-        self.keep = keep
-        if cutmask is None:
-            cutmask = np.zeros(V, dtype=bool)
-            cut_piece = np.zeros(0)
-        self.cutmask, self.cut_piece = cutmask, cut_piece
-        kcnt = np.bincount(par[keep & ~fa.is_root], minlength=V)
-        kcnt += np.bincount(par[cutmask], minlength=V)
-        real = keep & (fa.is_root | (kcnt != 1))
-        anchor = par.copy()  # level-1 vertices anchor at their root
-        acc = ln.copy()
-        for g in range(2, fa.ngen):
-            seg = fa.gen_slice(g)
-            p = par[seg]
-            preal = real[p]
-            anchor[seg] = np.where(preal, p, anchor[p])
-            acc[seg] += np.where(preal, 0.0, acc[p])
-        self.kcnt, self.real, self.anchor, self.acc = kcnt, real, anchor, acc
-        cut_idx = np.flatnonzero(cutmask)
-        w = par[cut_idx]
-        self.cut_slot = fa.slot[cut_idx]
-        self.cut_parent_red = np.where(real[w], w, anchor[w])
-        self.cut_len_red = cut_piece + np.where(real[w], 0.0, acc[w])
-        body = keep & real & ~fa.is_root
-        self.red_edge_vertices = np.flatnonzero(body)
-        self.red_edges = (np.bincount(fa.slot[body], minlength=fa.R)
-                          + np.bincount(self.cut_slot, minlength=fa.R))
-        self.survived = self.red_edges > 0
-        # first kept child, to walk degree-2 chains up from the stem
-        fkc = np.full(V, -1, dtype=np.int64)
-        kept_nonroot = np.flatnonzero(keep & ~fa.is_root)
-        fkc[par[kept_nonroot]] = kept_nonroot
-        fkc[w] = -2  # chain runs into a cut leaf
-        self.first_branch = np.zeros(fa.R, dtype=np.int64)
-        for s in np.flatnonzero(self.survived):
-            v = fa.off[s] + 1
-            if not keep[v]:
-                self.first_branch[s] = 0  # stem cut: a bare edge remains
-                continue
-            while kcnt[v] == 1:
-                v = fkc[v]
-                if v < 0:
-                    break
-            self.first_branch[s] = kcnt[v] if v >= 0 else 0
-
-    def pooled_lengths(self) -> np.ndarray:
-        """Edge lengths of all reduced surviving trees, pooled."""
-        return np.concatenate((self.acc[self.red_edge_vertices], self.cut_len_red))
-
-    def extract_reduced(self, live_slot: int):
-        """The reduced tree of one live slot; meant for small survivors."""
-        fa = self.fa
-        if not self.survived[live_slot]:
-            return MetricTree.empty() if fa.metric else CombinatorialTree.empty()
-        lo, hi = fa.off[live_slot], fa.off[live_slot + 1]
-        body = self.red_edge_vertices
-        mine = body[np.searchsorted(body, lo): np.searchsorted(body, hi)]
-        cuts = np.flatnonzero(self.cut_slot == live_slot)
-        ids = {int(lo): 0}
-        for v in mine:
-            ids[int(v)] = len(ids)
-        m = len(ids) + len(cuts)
-        parent = np.empty(m, dtype=np.int32)
-        length = np.zeros(m)
-        parent[0] = -1
-        for v in mine:
-            parent[ids[int(v)]] = ids[int(self.anchor[v])]
-            length[ids[int(v)]] = self.acc[v]
-        for i, c in enumerate(cuts):
-            parent[len(ids) + i] = ids[int(self.cut_parent_red[c])]
-            length[len(ids) + i] = self.cut_len_red[c]
-        if fa.metric:
-            return MetricTree(parent, length, validate=True)
-        return CombinatorialTree(parent, validate=True)
-
-    def scatter(self, per_live, fill=0):
-        """Per-live-slot values back onto the original chunk positions."""
-        per_live = np.asarray(per_live)
-        out = np.full(self.fa.n_slots, fill, dtype=per_live.dtype)
-        out[self.fa.slot_index] = per_live
-        return out
-
-
-class PrunedForest(ForestReduction):
-    """Generalized dynamical pruning of a whole chunk of trees.
-
-    Same rules as :func:`gdp_prune`, tree for tree (a tested equivalence,
-    not an approximation), plus the first-branch-point thinning pair
-    (k1, m1) used by the binomial-thinning experiment.
-    """
-
-    def __init__(self, trees, phi: PhiFunctional | str, threshold: float):
-        if isinstance(phi, str):
-            phi = phi_by_name(phi)
-        if threshold <= 0:
-            raise ValueError("the forest path needs a positive threshold")
-        self.phi = phi
-        self.threshold = float(threshold)
-        fa = _ForestArrays(trees)
-        F, Vint = _forest_values(fa, phi)
-        self.F = F
-        thr = float(threshold)
-        if phi.law == "additive":
-            alive = F + fa.ln > thr
-            keep = F >= thr
-            cutmask = alive & ~keep & ~fa.is_root
-            cut_piece = (F + fa.ln - thr)[cutmask]
-        else:
-            alive = Vint >= thr
-            keep = alive.copy()
-            cutmask = None
-            cut_piece = None
-        keep = keep | fa.is_root
-        alive = alive & ~fa.is_root
-        super().__init__(fa, keep, cutmask, cut_piece)
-        first = fa.off[:-1] + 1
-        self.alive = alive
-        self.survived = alive[first] if fa.V else np.zeros(0, dtype=bool)
-        self.k1 = fa.nchild[first]
-        kid_of_first = fa.par == np.repeat(first, np.diff(fa.off))
-        kid_of_first[fa.off[:-1]] = False
-        self.m1 = np.bincount(fa.slot[kid_of_first & alive], minlength=fa.R)
-
-
-def _forest_values(fa: _ForestArrays, phi: PhiFunctional):
-    """phi(Delta_v) on a forest, by descending BFS levels."""
-    V, par, ln = fa.V, fa.par, fa.ln
-    name = phi.name
-    if name == "ord":
-        o = np.ones(V, dtype=np.int64)
-        top = np.zeros(V, dtype=np.int64)
-        tie = np.zeros(V, dtype=np.int64)
-        for g in range(fa.ngen - 1, 0, -1):
-            seg = fa.gen_slice(g)
-            internal = top[seg] > 0
-            si = seg[internal]
-            o[si] = top[si] + (tie[si] >= 2)
-            cut, pu = fa._segments(par[seg])
-            sizes = np.diff(np.concatenate((cut, [len(seg)])))
-            omax = np.maximum.reduceat(o[seg], cut)
-            ties = np.add.reduceat(
-                (o[seg] == np.repeat(omax, sizes)).astype(np.int64), cut)
-            top[pu] = omax
-            tie[pu] = ties
-        roots = fa.off[:-1][top[fa.off[:-1]] > 0]
-        o[roots] = top[roots] + (tie[roots] >= 2)
-        F = (o - 1).astype(np.float64)
-        return F, F
-    F = np.zeros(V)
-    for g in range(fa.ngen - 1, 0, -1):
-        seg = fa.gen_slice(g)
-        cut, pu = fa._segments(par[seg])
-        if name == "height":
-            F[pu] = np.maximum.reduceat(F[seg] + ln[seg], cut)
-        elif name == "length":
-            F[pu] = np.add.reduceat(F[seg] + ln[seg], cut)
-        elif name == "leaves":
-            contrib = np.where(fa.nchild[seg] == 0, 1.0, F[seg])
-            F[pu] = np.add.reduceat(contrib, cut)
-        else:
-            raise ValueError(f"forest path supports builtins, not {name!r}")
-    if phi.law == "constant":
-        return F, (np.maximum(F, 1.0) if name == "leaves" else F)
-    return F, None
-
-
-def color_forest(trees, p: float, seed: int, replicate0: int = 0) -> ForestReduction:
-    """Bernoulli leaf coloring of a whole chunk, one stream per tree.
-
-    Tree i (chunk position) uses the stream (seed, replicate0 + i); leaf
-    number r of a tree consumes that stream's r-th uniform, exactly like
-    feeding :func:`bernoulli_color` a fresh ``CounterStream`` per tree.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1)")
-    fa = _ForestArrays(trees)
-    from .rng import philox4x32, stream_keys, _to_unit
-
-    leaves = np.flatnonzero((fa.nchild == 0) & ~fa.is_root)
-    lslot = fa.slot[leaves]
-    cut, su = fa._segments(lslot)  # leaves are slot-sorted (global id order)
-    sizes = np.diff(np.concatenate((cut, [len(leaves)])))
-    rank = np.arange(len(leaves), dtype=np.int64) - np.repeat(cut, sizes)
-    keys = stream_keys(seed, fa.slot_index[lslot] + replicate0)
-    w01, w23 = philox4x32(keys, (rank >> 1).astype(np.uint64))
-    u = np.where(rank & 1, _to_unit(w23), _to_unit(w01))
-    selected = u < (1.0 - p)
-    keep = np.zeros(fa.V, dtype=bool)
-    keep[leaves[selected]] = True
-    for g in range(fa.ngen - 1, 0, -1):
-        seg = fa.gen_slice(g)
-        cut, pu = fa._segments(fa.par[seg])
-        got = np.maximum.reduceat(keep[seg].astype(np.int8), cut) > 0
-        keep[pu] |= got
-    keep[fa.off[:-1]] = True
-    return ForestReduction(fa, keep)
 
 
 # --------------------------------------------------------------------- #
@@ -733,8 +594,7 @@ def check_monotone(phi: PhiFunctional | str, trees, stream: CounterStream,
     phi(Delta_descendant) <= phi(Delta_ancestor).  A passing check is
     evidence, not proof.
     """
-    if isinstance(phi, str):
-        phi = phi_by_name(phi)
+    phi = _as_phi(phi)
     for t in trees:
         if t is None or t.is_empty or t.n_vertices < 3:
             continue

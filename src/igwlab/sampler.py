@@ -134,7 +134,7 @@ _table_cache: dict = {}
 
 
 def _tables(d: OffspringDistribution) -> _CdfTable:
-    key = d.spec_string()
+    key = (type(d), d.params)
     tab = _table_cache.get(key)
     if tab is None:
         tab = _CdfTable(d)

@@ -35,7 +35,6 @@ __all__ = [
     "shape",
     "tree_height",
     "tree_length",
-    "edge_count",
     "leaf_count",
     "horton_strahler_order",
     "series_reduce",
@@ -125,15 +124,12 @@ class CombinatorialTree:
     @property
     def is_reduced(self) -> bool:
         nc = self.children_counts()
-        return not np.any(nc[1:] == 1)
+        return not (nc[1:] == 1).any()
 
     def leaf_count(self) -> int:
         if self.is_empty:
             return 0
         return int(np.count_nonzero(self.children_counts() == 0))
-
-    def edge_count(self) -> int:
-        return self.n_edges
 
     # -- structure helpers ------------------------------------------------ #
 
@@ -151,16 +147,6 @@ class CombinatorialTree:
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.parent[1:], minlength=n), out=starts[1:])
         return order, starts
-
-    def subtree_edge_counts(self) -> np.ndarray:
-        """Number of edges of the descendant tree of every vertex."""
-        n = self.n_vertices
-        sizes = np.zeros(n, dtype=np.int64)
-        gs = self.gen_starts()
-        for g in range(len(gs) - 2, 0, -1):
-            seg = slice(gs[g], gs[g + 1])
-            np.add.at(sizes, self.parent[seg], sizes[seg] + 1)
-        return sizes
 
     # -- shape identity ---------------------------------------------------- #
 
@@ -208,9 +194,8 @@ class MetricTree(CombinatorialTree):
             length = length[order]
             gen_starts = None
             if parent.shape[0] > 1:
-                if not np.all(np.isfinite(length[1:])) or np.any(length[1:] <= 0.0):
+                if not np.isfinite(length[1:]).all() or (length[1:] <= 0.0).any():
                     raise ValueError("edge lengths must be finite and > 0")
-        length = np.ascontiguousarray(length)
         length[0] = 0.0
         CombinatorialTree.__init__(self, parent, validate=False, gen_starts=gen_starts)
         self.length = length
@@ -263,11 +248,15 @@ def _bfs_normalize(parent: np.ndarray):
     acyclic parent structure.
     """
     n = parent.shape[0]
-    roots = np.flatnonzero(parent < 0)
+    roots = (parent < 0).nonzero()[0]
     if len(roots) != 1:
         raise ValueError(f"expected exactly one root, found {len(roots)}")
-    if np.any(parent >= n):
+    if (parent >= n).any():
         raise ValueError("parent index out of range")
+    body = parent[1:]
+    if roots[0] == 0 and (body[1:] >= body[:-1]).all() and (body < np.arange(1, n)).all():
+        # already breadth-first: parents precede children and never decrease
+        return parent.copy(), np.arange(n)
     root = int(roots[0])
     order = np.empty(n, dtype=np.int64)
     new_id = np.full(n, -1, dtype=np.int64)
@@ -298,21 +287,19 @@ def _bfs_normalize(parent: np.ndarray):
 
 
 def _gen_starts_from_parent(parent: np.ndarray) -> np.ndarray:
+    # BFS layout: parent[1:] is nondecreasing, so the level after the one
+    # ending at e is the run of vertices whose parents lie before e
     n = parent.shape[0]
-    depth = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        depth[i] = depth[parent[i]] + 1
-    # BFS layout => depth is nondecreasing
-    nlev = depth[-1] + 1 if n else 1
-    starts = np.searchsorted(depth, np.arange(nlev + 1))
-    return starts.astype(np.int64)
+    starts = [0, 1]
+    while starts[-1] < n:
+        starts.append(int(np.searchsorted(parent[1:], starts[-1])) + 1)
+    return np.array(starts, dtype=np.int64)
 
 
 def _canonical_code(t: CombinatorialTree) -> bytes:
     if t.is_empty:
         return b"()"
     n = t.n_vertices
-    sizes = t.subtree_edge_counts()
     order, starts = t.children_table()
     codes: list = [None] * n
     gs = t.gen_starts()
@@ -334,32 +321,16 @@ def _horton_order(t: CombinatorialTree) -> int:
 
     Defined through iterated leaf pruning: for a planted tree, the minimal
     number of prunings that give the empty tree; stemless trees get the
-    +1 adjustment.  Computed by the standard vertex recursion (leaf order 1;
-    a vertex takes the max child order, +1 when at least two children attain
-    the max).
+    +1 adjustment.  The vertex orders come from the pruning engine's level
+    sweep of the order functional (phi = ord - 1).
     """
     if t.is_empty:
         return 0
-    n = t.n_vertices
-    o = np.ones(n, dtype=np.int64)
-    top = np.zeros(n, dtype=np.int64)   # max child order so far
-    tie = np.zeros(n, dtype=np.int64)   # how many children attain it
-    parent = t.parent
-    for v in range(n - 1, 0, -1):
-        if top[v]:
-            o[v] = top[v] + (1 if tie[v] >= 2 else 0)
-        p = parent[v]
-        if o[v] > top[p]:
-            top[p] = o[v]
-            tie[p] = 1
-        elif o[v] == top[p]:
-            tie[p] += 1
-    if top[0]:
-        o[0] = top[0] + (1 if tie[0] >= 2 else 0)
-    nc = t.children_counts()
-    if nc[0] == 1:
-        return int(o[1])     # planted: order of the stem's upper vertex
-    return int(o[0])         # stemless
+    from .pruning import PHI_ORD
+
+    o = PHI_ORD.vertex_values(t)
+    planted = t.children_counts()[0] == 1
+    return int(o[1 if planted else 0]) + 1  # planted: the stem's upper vertex
 
 
 # --------------------------------------------------------------------- #
@@ -380,10 +351,6 @@ def tree_length(t: MetricTree) -> float:
     return t.tree_length()
 
 
-def edge_count(t: CombinatorialTree) -> int:
-    return t.n_edges
-
-
 def leaf_count(t: CombinatorialTree) -> int:
     return t.leaf_count()
 
@@ -401,44 +368,15 @@ def series_reduce(t):
 
     Lengths of merged edges add exactly (floating-point addition of the
     chain, in root-to-leaf order).  Idempotent; preserves total length and
-    height.  Works on both tree kinds; empty input returns the input.
+    height.  Works on both tree kinds; empty input returns the input.  This
+    is the pruning engine's reduction with every vertex kept.
     """
-    metric = isinstance(t, MetricTree)
     if t.is_empty or t.is_reduced:
         return t
-    n = t.n_vertices
-    parent = t.parent
-    nc = t.children_counts()
-    real = nc != 1
-    real_arr = np.asarray(real)
-    real_arr[0] = True
-    anchor = np.empty(n, dtype=np.int64)
-    anchor[0] = 0
-    if metric:
-        acc = t.length.copy()
-    new_id = np.full(n, -1, dtype=np.int64)
-    new_id[0] = 0
-    nxt = 1
-    new_parent = [np.int32(-1)]
-    new_length = [0.0]
-    for v in range(1, n):
-        p = parent[v]
-        if real_arr[p]:
-            anchor[v] = new_id[p]
-        else:
-            anchor[v] = anchor[p]
-            if metric:
-                acc[v] += acc[p]
-        if real_arr[v]:
-            new_id[v] = nxt
-            nxt += 1
-            new_parent.append(np.int32(anchor[v]))
-            if metric:
-                new_length.append(acc[v])
-    parent_out = np.array(new_parent, dtype=np.int32)
-    if metric:
-        return MetricTree(parent_out, np.array(new_length), validate=True)
-    return CombinatorialTree(parent_out, validate=True)
+    from .pruning import ForestReduction, _ForestArrays
+
+    keep = np.ones(t.n_vertices, dtype=bool)
+    return ForestReduction(_ForestArrays([t]), keep).extract_reduced(0)
 
 
 def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:

@@ -5,9 +5,11 @@ here the point is that each experiment wires its pieces correctly, produces
 reproducible reports, and fails when it should.
 """
 
+import gzip
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from igwlab import gof
 from igwlab.cli import main as cli_main, read_config
 
 SPEC = xp.ExperimentSpec(n=12000, seed=33)
+DATA = Path(__file__).parent / "data"
 
 
 class TestVerifyLaws:
@@ -188,6 +191,37 @@ class TestCLI:
         assert log.read_text().startswith("tree,edge_child,offset")
         assert cli_main(["color", "--p", "0.5", "--seed", "7",
                          "--in", str(forest), "--out", str(colored)]) == 0
+
+    def test_prune_requires_positive_threshold(self, tmp_path, capsys):
+        """Without a threshold, pruning used to keep every tree and exit 0."""
+        forest = tmp_path / "trees.newick"
+        forest.write_text("((:1,:3):1);\n")
+        out = tmp_path / "pruned.newick"
+        for extra in ([], ["--t", "0"], ["--t", "-1"]):
+            assert cli_main(["prune", "--in", str(forest), "--out", str(out), *extra]) != 0
+            assert "threshold" in capsys.readouterr().err
+
+    def test_prune_and_color_match_recorded_output(self, tmp_path):
+        """Byte for byte against tests/data/cli_*.gz, which were recorded
+        with the per-tree engine that the forest engine replaced, on the
+        forest of ``igwlab sample --dist binary --n 300 --seed 42
+        --budget 10000``."""
+        def recorded(name):
+            return gzip.decompress((DATA / f"cli_{name}.gz").read_bytes())
+
+        forest = tmp_path / "trees.newick"
+        assert cli_main(["sample", "--dist", "binary", "--n", "300", "--seed", "42",
+                         "--budget", "10000", "--out", str(forest)]) == 0
+        for phi in ("height", "length"):
+            out, log = tmp_path / f"pruned_{phi}.newick", tmp_path / f"cuts_{phi}.csv"
+            assert cli_main(["prune", "--phi", phi, "--t", "2", "--in", str(forest),
+                             "--out", str(out), "--log", str(log)]) == 0
+            assert out.read_bytes() == recorded(f"pruned_{phi}.newick")
+            assert log.read_bytes() == recorded(f"cuts_{phi}.csv")
+        out = tmp_path / "colored.newick"
+        assert cli_main(["color", "--p", "0.5", "--seed", "7", "--in", str(forest),
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == recorded("colored.newick")
 
     def test_sample_stats_json(self, tmp_path):
         out = tmp_path / "stats.json"

@@ -216,7 +216,12 @@ class TestSpecStrings:
         for spec in ALL_SPECS:
             d = O.from_spec(spec)
             d2 = O.from_spec(d.spec_string())
-            assert type(d) is type(d2)
+            assert type(d) is type(d2) and d2.params == d.params
+
+    def test_full_precision(self):
+        d = O.igw(0.666667)
+        assert O.from_spec(d.spec_string()).q == 0.666667
+        assert O.from_spec("igw:0.66666666666666663").spec_string() != d.spec_string()
 
     def test_table_from_json_file(self, tmp_path):
         p = tmp_path / "law.json"

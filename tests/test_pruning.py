@@ -1,5 +1,5 @@
 """Pruning operators: exact worked geometry, operator identities, the
-forest-vectorized engine against the per-tree reference, thinning law
+reduction engine against the hereditary-predicate oracle, thinning law
 cells, and the semigroup dichotomy."""
 
 import math
@@ -203,26 +203,78 @@ class TestSemigroup:
         assert one.tree_length() == pytest.approx(1.0, abs=1e-12)
 
 
+def _strahler(s):
+    """Horton-Strahler order by the vertex recursion (leaf 1, the max child
+    order, +1 on a tie of the max), read at the stem's upper vertex of a
+    planted tree; 0 for the empty tree."""
+    if s.is_empty:
+        return 0
+    par = np.asarray(s.parent)
+    kids = [[] for _ in par]
+    for v in range(1, len(par)):
+        kids[par[v]].append(v)
+    order = [0] * len(par)
+    for v in range(len(par) - 1, -1, -1):
+        top = max((order[c] for c in kids[v]), default=0)
+        order[v] = max(1, top + (sum(order[c] == top for c in kids[v]) >= 2))
+    return order[1] if len(kids[0]) == 1 else order[0]
+
+
+def _phi_of(s, phi):
+    """phi of one tree, straight from its definition."""
+    if phi == "height":
+        return s.tree_height()
+    if phi == "length":
+        return s.tree_length()
+    if phi == "leaves":
+        return s.leaf_count()
+    return _strahler(s) - 1
+
+
+def _planted(t, c):
+    """The edge above vertex c with everything below c, as a planted tree."""
+    par = np.asarray(t.parent)
+    inside = np.zeros(t.n_vertices, dtype=bool)
+    inside[c] = True
+    for v in range(c + 1, t.n_vertices):
+        inside[v] = inside[par[v]]
+    old = [int(par[c])] + list(np.flatnonzero(inside))
+    new_of = {v: i for i, v in enumerate(old)}
+    parent = [-1] + [new_of[int(par[v])] for v in old[1:]]
+    length = [0.0] + [float(t.length[v]) for v in old[1:]]
+    return T.MetricTree(np.array(parent), np.array(length))
+
+
+def _thinning_cells(t, phi, thr):
+    """(k, m) by brute force: the children of the stem's upper vertex, and
+    how many of their planted subtrees survive the pruning on their own."""
+    kids = np.flatnonzero(np.asarray(t.parent) == 1)
+    law = P.phi_by_name(phi).law
+    vals = [_phi_of(_planted(t, int(c)), phi) for c in kids]
+    m = sum(v > thr if law == "additive" else v >= thr for v in vals)
+    return len(kids), m
+
+
 class TestFirstVertexThinning:
     def test_cherry_cells(self, cherry):
-        k, m, surv = P.first_vertex_thinning(cherry, "length", 2.0)
-        assert (k, m, surv) == (2, 1, True)
-        k, m, surv = P.first_vertex_thinning(cherry, "length", 10.0)
-        assert (k, m, surv) == (2, 0, False)
+        pf = P.PrunedForest([cherry], "length", 2.0)
+        assert (pf.k1[0], pf.m1[0], pf.survived[0]) == (2, 1, True)
+        pf = P.PrunedForest([cherry], "length", 10.0)
+        assert (pf.k1[0], pf.m1[0], pf.survived[0]) == (2, 0, False)
 
     def test_m_positive_implies_survival(self, forest):
         for t in forest[:30]:
             thr = 0.5 * P.survival_statistic(t, "length")
-            if thr <= 0:
-                continue
-            k, m, surv = P.first_vertex_thinning(t, "length", thr)
+            pf = P.PrunedForest([t], "length", thr)
+            k, m = _thinning_cells(t, "length", thr)
+            assert (pf.k1[0], pf.m1[0]) == (k, m)
             if m >= 1:
-                assert surv
-            assert P.gdp_prune(t, "length", thr).survived == surv
+                assert pf.survived[0]
+            assert P.gdp_prune(t, "length", thr).survived == pf.survived[0]
 
 
 # ===================================================================== #
-# Forest engine vs per-tree reference                                    #
+# Reduction engine vs the hereditary-predicate oracle                    #
 # ===================================================================== #
 
 
@@ -232,32 +284,58 @@ class TestFirstVertexThinning:
     ("zipf:1.5", 0.5, "length"), ("zipf:1.5", 0.5, "leaves"),
 ])
 def test_forest_engine_equals_reference(spec, lam, phi):
+    """Keep sets, cut points and (k1, m1) of a forest pruning against
+    definitions: the predicate form of hereditary_reduce bisects on
+    descendant trees, and the thinning cells are counted on planted
+    subtrees.  Leaf thresholds start at 2: at t <= 1 the oracle keeps the
+    open edge below a leaf, the engine closes it with the leaf itself.
+    """
     d = from_spec(spec)
     trees, _ = sample_forest(d, 99, 150, lam=lam, budget=100000)
     live = [t for t in trees if t is not None]
-    med = float(np.median([P.survival_statistic(t, phi) for t in live]))
-    for thr in (0.5 * med, 1.5 * med):
-        if thr <= 0:
-            continue
+    if P.phi_by_name(phi).law == "additive":
+        med = float(np.median(P.survival_statistics(live, phi)))
+        thresholds = (0.5 * med, 1.5 * med)
+    else:
+        thresholds = (2.0, 3.0) if phi == "leaves" else (1.0, 2.0)
+    tol = 1e-10
+    for thr in thresholds:
         pf = P.PrunedForest(live, phi, thr)
         lens = []
+        checked = 0
         for i, t in enumerate(live):
+            lo = pf.fa.off[i]
             res = P.gdp_prune(t, phi, thr)
             assert bool(pf.survived[i]) == res.survived
-            k, m, _ = P.first_vertex_thinning(t, phi, thr)
-            assert (pf.k1[i], pf.m1[i]) == (k, m)
+            assert np.array_equal(pf.keep[lo: pf.fa.off[i + 1]], res.keep)
             if res.survived:
                 assert pf.red_edges[i] == res.tree.n_edges
-                assert T.almost_isometric(pf.extract_reduced(i), res.tree, 1e-9)
+                got = pf.extract_reduced(i)
+                assert np.array_equal(got.parent, res.tree.parent)
+                assert np.array_equal(got.length, res.tree.length)
                 b = int(np.count_nonzero(np.asarray(res.tree.parent) == 1))
                 assert pf.first_branch[i] == b
                 lens.append(res.tree.length[1:])
+            if t.n_vertices <= 2000:
+                assert (pf.k1[i], pf.m1[i]) == _thinning_cells(t, phi, thr)
+            if t.n_vertices > 40 or checked == 30:
+                continue
+            checked += 1
+            orc = P.hereditary_reduce(t, lambda s: _phi_of(s, phi) >= thr, bisect_tol=tol)
+            assert np.array_equal(res.keep, orc.keep)
+            assert [c for c, _ in res.cut_log] == [c for c, _ in orc.cut_log]
+            for (_, a), (_, b) in zip(res.cut_log, orc.cut_log):
+                assert abs(a - b) <= tol
+            assert T.almost_isometric(res.tree, orc.tree, 1e-9)
+        assert checked >= 20
         ref = np.sort(np.concatenate(lens)) if lens else np.zeros(0)
         got = np.sort(pf.pooled_lengths())
-        assert np.allclose(ref, got, atol=1e-12) and len(ref) == len(got)
+        assert np.array_equal(ref, got)
 
 
 def test_color_forest_equals_reference():
+    """Forest draws equal per-tree stream draws, and the kept set is the
+    root plus every ancestor of a selected leaf."""
     d = from_spec("igw:0.7")
     trees, _ = sample_forest(d, 123, 200, lam=1.0, budget=100000)
     live = [t for t in trees if t is not None]
@@ -265,8 +343,18 @@ def test_color_forest_equals_reference():
     for i, t in enumerate(live):
         res = P.bernoulli_color(t, 0.6, CounterStream(555, i))
         assert bool(cf.survived[i]) == res.survived
+        assert np.array_equal(cf.keep[cf.fa.off[i]: cf.fa.off[i + 1]], res.keep)
+        leaves = np.flatnonzero(t.children_counts() == 0)
+        keep = np.zeros(t.n_vertices, dtype=bool)
+        keep[0] = True
+        for v in leaves[CounterStream(555, i).bernoulli(len(leaves), 0.4)]:
+            while not keep[v]:
+                keep[v] = True
+                v = t.parent[v]
+        assert np.array_equal(res.keep, keep)
         if res.survived:
-            assert T.almost_isometric(cf.extract_reduced(i), res.tree, 1e-9)
+            assert T.almost_isometric(cf.extract_reduced(i), res.tree, 0.0)
+            assert res.tree.leaf_count() == keep[leaves].sum()
 
 
 def test_forest_handles_none_slots():

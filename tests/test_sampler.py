@@ -152,3 +152,12 @@ class TestStatistics:
                                S.SampleConfig(seed=5, replicate=r, budget=16))
                 for r in range(500)]
         assert st.offspring_hist.sum() == sum(o.draws_consumed for o in outs)
+
+
+class TestTableCache:
+    def test_distinct_parameters_get_distinct_tables(self):
+        """Laws whose parameters print alike under %g keep their own tables."""
+        a = S._tables(O.igw(0.666667))
+        b = S._tables(O.from_spec("igw:0.66666666666666663"))
+        assert a is not b and a.dist.q != b.dist.q
+        assert S._tables(O.igw(0.666667)) is a
