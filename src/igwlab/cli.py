@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -120,15 +122,24 @@ def main(argv=None) -> int:
     return _dispatch(args)
 
 
-def _forest_io(path):
+# prune and color read their input this many trees at a time
+_CHUNK = 4096
+
+
+def _read_chunks(path):
+    """(index of the first tree, trees) for each run of ``_CHUNK`` trees of
+    a Newick file, one tree per line."""
     with open(path) as fh:
-        return [from_newick(line) for line in fh if line.strip()]
+        lines = (line for line in fh if line.strip())
+        lo = 0
+        while trees := [from_newick(line) for line in islice(lines, _CHUNK)]:
+            yield lo, trees
+            lo += len(trees)
 
 
-def _write_forest(trees, path):
-    with open(path, "w") as fh:
-        for t in trees:
-            fh.write(to_newick(t) + "\n")
+def _write_forest(trees, fh):
+    for t in trees:
+        fh.write(to_newick(t) + "\n")
 
 
 def _survivors(red: pr.ForestReduction):
@@ -157,7 +168,8 @@ def _dispatch(args) -> int:
         else:
             trees, ncen = smp.sample_forest(d, spec.seed, spec.n,
                                             budget=spec.budget, lam=spec.lam)
-            _write_forest([t for t in trees if t is not None], args.out)
+            with open(args.out, "w") as fh:
+                _write_forest([t for t in trees if t is not None], fh)
             if ncen:
                 print(f"censored replicates skipped: {ncen}", file=sys.stderr)
         return 0
@@ -167,27 +179,36 @@ def _dispatch(args) -> int:
         if spec.threshold is None or spec.threshold <= 0:
             print("igwlab prune: a positive threshold --t is required", file=sys.stderr)
             return 2
-        trees = _forest_io(args.infile)
-        pf = pr.PrunedForest(trees, spec.phi, spec.threshold)
-        _write_forest(_survivors(pf), args.out)
-        if args.log:
-            fa = pf.fa
-            rows = zip(fa.slot_index[pf.cut_slot].tolist(),
-                       (pf.cut_idx - fa.off[pf.cut_slot]).tolist(), pf.cut_piece.tolist())
-            with open(args.log, "w") as fh:
-                fh.write("tree,edge_child,offset\n")
-                for row in rows:
-                    fh.write(",".join(map(str, row)) + "\n")
-        print(f"survived {int(pf.survived.sum())}/{len(trees)}")
+        n = survived = 0
+        with open(args.out, "w") as out, \
+                (open(args.log, "w") if args.log else nullcontext()) as log:
+            if log:
+                log.write("tree,edge_child,offset\n")
+            for lo, trees in _read_chunks(args.infile):
+                pf = pr.PrunedForest(trees, spec.phi, spec.threshold)
+                _write_forest(_survivors(pf), out)
+                if log:
+                    fa = pf.fa
+                    rows = zip((lo + fa.slots[pf.cut_slot]).tolist(),
+                               fa.local_id[pf.cut_idx].tolist(), pf.cut_piece.tolist())
+                    for row in rows:
+                        log.write(",".join(map(str, row)) + "\n")
+                n += len(trees)
+                survived += int(pf.survived.sum())
+        print(f"survived {survived}/{n}")
         return 0
 
     if verb == "color":
         spec = _spec_from(args)
-        trees = _forest_io(args.infile)
-        # tree i of the file draws from the stream (seed, i) in domain 7
-        cf = pr.color_forest(trees, spec.p, spec.seed, domain=7)
-        _write_forest(_survivors(cf), args.out)
-        print(f"survived {int(cf.survived.sum())}/{len(trees)}")
+        n = survived = 0
+        with open(args.out, "w") as out:
+            for lo, trees in _read_chunks(args.infile):
+                # tree i of the file draws from the stream (seed, i) in domain 7
+                cf = pr.color_forest(trees, spec.p, spec.seed, replicate0=lo, domain=7)
+                _write_forest(_survivors(cf), out)
+                n += len(trees)
+                survived += int(cf.survived.sum())
+        print(f"survived {survived}/{n}")
         return 0
 
     if verb == "dist":

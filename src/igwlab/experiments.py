@@ -244,9 +244,9 @@ def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
         return 0.5 * (lo + hi)
     lam = spec.lam if spec.phi in ("height", "length") else None
     stats = []
-    for trees, _ in smp.iter_forest(d, spec.seed + 1, pilot_n, budget=spec.budget,
-                                    lam=lam, chunk=spec.chunk):
-        stats.append(pr.survival_statistics([t for t in trees if t is not None], spec.phi))
+    for forest, cen in smp.iter_forest(d, spec.seed + 1, pilot_n, budget=spec.budget,
+                                       lam=lam, chunk=spec.chunk):
+        stats.append(pr.survival_statistics(forest, spec.phi)[~cen])
     stats = np.sort(np.concatenate(stats))
     t = float(stats[int((1.0 - tgt) * len(stats))])
     if spec.phi in ("leaves", "ord"):
@@ -279,14 +279,13 @@ def prune_and_summarize(spec: ExperimentSpec, threshold: float,
                         keep_lengths: bool = True) -> PruneSummary:
     d = spec.distribution()
     s = PruneSummary()
-    for trees, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                      lam=spec.lam, chunk=spec.chunk):
-        s.n_trees += len(trees)
+    for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
+                                       lam=spec.lam, chunk=spec.chunk):
+        s.n_trees += len(forest)
         s.n_censored += int(cen.sum())
-        live = [t for t in trees if t is not None]
-        if not live:
+        if not forest.R:
             continue
-        pf = pr.PrunedForest(live, spec.phi, threshold)
+        pf = pr.PrunedForest(forest, spec.phi, threshold)
         surv = pf.survived
         s.n_survived += int(surv.sum())
         for k, m in zip(pf.k1[surv].tolist(), pf.m1[surv].tolist()):
@@ -472,14 +471,13 @@ def run_attractor_mc(spec: ExperimentSpec, iterations: int | None = None) -> dic
         tlabel = f"t={t0:.4g}"
     # shape comparisons ignore lengths; skip them when the functional does too
     lam = spec.lam if spec.phi in ("height", "length") else None
-    for trees, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                      lam=lam, chunk=spec.chunk):
+    for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
+                                       lam=lam, chunk=spec.chunk):
         ncen += int(cen.sum())
-        ntot += len(trees)
-        live = [t for t in trees if t is not None]
-        if not live:
+        ntot += len(forest)
+        if not forest.R:
             continue
-        pf = pr.PrunedForest(live, spec.phi, t0)
+        pf = pr.PrunedForest(forest, spec.phi, t0)
         n_surv += int(pf.survived.sum())
         for s in np.flatnonzero(pf.survived & (pf.red_edges <= 64)):
             small_shapes.append(pf.extract_reduced(int(s)))
@@ -529,17 +527,17 @@ def run_coloring(spec: ExperimentSpec) -> dict:
     single = 0
     base = 0
     color_seed = spec.seed ^ 0xC01031
-    for trees, _ in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                    lam=spec.lam, chunk=spec.chunk):
-        live = [t for t in trees if t is not None]
-        ntot += len(live)
-        if live:
-            cf = pr.color_forest(live, spec.p, color_seed, replicate0=base)
+    for forest, _ in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
+                                     lam=spec.lam, chunk=spec.chunk):
+        ntot += forest.R
+        if forest.R:
+            # live tree r of the chunk draws from stream base + r
+            cf = pr.color_forest(forest.live(), spec.p, color_seed, replicate0=base)
             n_surv += int(cf.survived.sum())
             fb = cf.first_branch[cf.survived]
             branch += np.bincount(np.minimum(fb, 255), minlength=256)
             single += int((fb == 0).sum())
-        base += len(trees)
+        base += len(forest)
     g_hat = n_surv / max(ntot, 1)
     surv_rep = gof.GofReport(
         test=f"coloring-survival[{spec.dist},p={spec.p:g}]",

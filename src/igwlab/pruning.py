@@ -21,8 +21,9 @@ Threshold comparisons are closed (>= t).  Points exactly at a vertex use
 the vertex's own subtree (all child edges together), which is how the
 sum-type functionals can keep a vertex whose child edges all die.
 
-One engine does every reduction: a chunk of trees becomes global arrays
-whose BFS levels are swept with segment reductions, values bottom-up and
+One engine does every reduction on a :class:`~igwlab.trees.Forest`, the
+level-by-level layout the sampler emits (a list of trees is laid out the
+same way): levels are swept with segment reductions, values bottom-up and
 the series reduction of the keep set top-down.  The per-tree functions are
 one-tree calls of it.  Horton pruning removes all leaves; Bernoulli leaf
 coloring keeps the subtree spanning the root and a random leaf subset.
@@ -43,6 +44,7 @@ import numpy as np
 from .rng import CounterStream
 from .trees import (
     CombinatorialTree,
+    Forest,
     MetricTree,
     TreePoint,
     descendant_subtree,
@@ -89,7 +91,7 @@ class PhiFunctional:
         """phi of the descendant tree of every vertex of one tree."""
         if t.is_empty:
             return np.zeros(1)
-        return _forest_values(_ForestArrays([t]), self)[0]
+        return _forest_values(Forest.from_trees([t]), self)[0]
 
 
 PHI_HEIGHT = PhiFunctional("height", "additive")
@@ -116,76 +118,35 @@ def _as_phi(phi: PhiFunctional | str) -> PhiFunctional:
 # --------------------------------------------------------------------- #
 
 
-class _ForestArrays:
-    """A chunk of trees concatenated into global parallel arrays.
+def _as_forest(trees) -> Forest:
+    return trees if isinstance(trees, Forest) else Forest.from_trees(trees)
 
-    The breadth-first layout of each tree is preserved, so within any
-    global BFS level the parent ids are nondecreasing and every per-parent
-    reduction is a sorted-segment ``reduceat``; children of a vertex all
-    live in the next level, so level-ordered passes finalize values in one
-    sweep per direction.  A single tree's levels are already contiguous, so
-    its level slices are plain slices and no sort is needed.
+
+def _levels(fa: Forest, start: int, stop: int, step: int):
+    """Slices of levels start, start + step, ... (stop excluded).
+
+    Within a level parents never decrease, so every per-parent reduction
+    is a sorted-segment ``reduceat``; the children of a vertex all live in
+    the next level, so level-ordered passes finalize values in one sweep
+    per direction.
     """
-
-    def __init__(self, trees):
-        live = [i for i, t in enumerate(trees) if t is not None and not t.is_empty]
-        self.n_slots = len(trees)
-        self.slot_index = np.array(live, dtype=np.int64)
-        trees = [trees[i] for i in live]
-        R = self.R = len(trees)
-        self.metric = bool(trees) and isinstance(trees[0], MetricTree)
-        if R == 1:
-            t = trees[0]
-            V = t.n_vertices
-            off = np.array([0, V])
-            par = t.parent.astype(np.int64)
-            par[0] = 0                        # the root points at itself
-            self.gorder, self.gbounds = None, t.gen_starts()
-            self.slot = np.zeros(V, dtype=np.int64)
-            self.nchild = t.children_counts().astype(np.int64)
-        else:
-            ns = np.array([t.n_vertices for t in trees], dtype=np.int64)
-            off = np.zeros(R + 1, dtype=np.int64)
-            np.cumsum(ns, out=off[1:])
-            V = int(off[-1])
-            par = np.concatenate([t.parent for t in trees] or [[]]).astype(np.int64)
-            par += np.repeat(off[:-1], ns)
-            par[off[:-1]] = off[:-1]          # roots point at themselves
-            gen = np.concatenate([np.repeat(np.arange(len(gs) - 1), np.diff(gs))
-                                  for gs in (t.gen_starts() for t in trees)] or [[]])
-            self.gorder = np.argsort(gen, kind="stable")
-            ngen = int(gen.max()) + 1 if V else 0
-            self.gbounds = np.searchsorted(gen[self.gorder], np.arange(ngen + 1))
-            self.slot = np.repeat(np.arange(R, dtype=np.int64), ns)
-            self.nchild = np.bincount(par, minlength=V)
-            self.nchild[off[:-1]] -= 1
-        if self.metric:
-            ln = trees[0].length if R == 1 else np.concatenate([t.length for t in trees])
-        else:
-            ln = np.zeros(V)
-        self.off, self.par, self.ln, self.V = off, par, ln, V
-        self.ngen = len(self.gbounds) - 1
-        self.is_root = np.zeros(V, dtype=bool)
-        self.is_root[off[:-1]] = True
-
-    def gen_slice(self, g):
-        lo, hi = self.gbounds[g], self.gbounds[g + 1]
-        return slice(lo, hi) if self.gorder is None else self.gorder[lo:hi]
-
-    @staticmethod
-    def _segments(p):
-        """Starts of the runs of equal values in sorted ``p``, and the values."""
-        head = np.empty(len(p), dtype=bool)
-        head[:1] = True
-        np.not_equal(p[1:], p[:-1], out=head[1:])
-        cut = head.nonzero()[0]
-        return cut, p[cut]
+    ls = fa.level_starts.tolist()
+    return (slice(ls[g], ls[g + 1]) for g in range(start, stop, step))
 
 
-def _forest_values(fa: _ForestArrays, phi: PhiFunctional):
+def _segments(p):
+    """Starts of the runs of equal values in sorted ``p``, and the values."""
+    head = np.empty(len(p), dtype=bool)
+    head[:1] = True
+    np.not_equal(p[1:], p[:-1], out=head[1:])
+    cut = head.nonzero()[0]
+    return cut, p[cut]
+
+
+def _forest_values(fa: Forest, phi: PhiFunctional):
     """(F, V): phi(Delta_v) on a forest by descending BFS levels, and for a
     constant law the value on the edge above each vertex (None if additive)."""
-    V, par, ln = fa.V, fa.par, fa.ln
+    V, par, ln = fa.V, fa.parent, fa.length
     name = phi.name
     if name == "ord":
         # Horton-Strahler vertex orders: leaf 1, the max child order, +1
@@ -193,23 +154,21 @@ def _forest_values(fa: _ForestArrays, phi: PhiFunctional):
         o = np.ones(V, dtype=np.int64)
         top = np.zeros(V, dtype=np.int64)   # max child order
         tie = np.zeros(V, dtype=np.int64)   # how many children attain it
-        for g in range(fa.ngen - 1, 0, -1):
-            seg = fa.gen_slice(g)
+        for seg in _levels(fa, fa.ngen - 1, 0, -1):
             o[seg] = np.maximum(top[seg] + (tie[seg] >= 2), 1)
             og = o[seg]
-            cut, pu = fa._segments(par[seg])
+            cut, pu = _segments(par[seg])
             omax = np.maximum.reduceat(og, cut)
             top[pu] = omax
             sizes = np.diff(np.append(cut, len(og)))
             tie[pu] = np.add.reduceat((og == np.repeat(omax, sizes)).astype(np.int64), cut)
-        roots = fa.off[:-1]
+        roots = slice(0, fa.R)
         o[roots] = top[roots] + (tie[roots] >= 2)
         F = (o - 1).astype(np.float64)
         return F, F  # the planted tree above an edge has the child's order
     F = np.zeros(V)
-    for g in range(fa.ngen - 1, 0, -1):
-        seg = fa.gen_slice(g)
-        cut, pu = fa._segments(par[seg])
+    for seg in _levels(fa, fa.ngen - 1, 0, -1):
+        cut, pu = _segments(par[seg])
         if name == "height":
             F[pu] = np.maximum.reduceat(F[seg] + ln[seg], cut)
         elif name == "length":
@@ -228,28 +187,29 @@ class ForestReduction:
     """Keep-set reduction of a forest: the shared back half of pruning and
     coloring.
 
-    Given per-vertex ``keep`` plus optional interior cut points, computes
-    the series-reduced structure in place: anchors (nearest reduced-tree
-    ancestor), merged edge lengths, per-tree edge counts, survival, and the
-    branch degree at the first vertex of each reduced tree.  Chain lengths
-    add in root-to-leaf order.
+    Given per-vertex ``keep`` (in the forest's layout, roots included)
+    plus optional interior cut points, computes the series-reduced
+    structure: anchors (nearest reduced-tree ancestor), merged edge
+    lengths, per-tree edge counts, survival, and the branch degree at the
+    first vertex of each reduced tree.  Chain lengths add in root-to-leaf
+    order.  Cut points (``cut_idx``, ``cut_piece``) are listed tree by
+    tree, each tree's in breadth-first order.
     """
 
-    def __init__(self, fa: _ForestArrays, keep, cutmask=None, cut_piece=None):
+    def __init__(self, fa: Forest, keep, cutmask=None, cut_piece=None):
         self.fa = fa
-        V, par, ln = fa.V, fa.par, fa.ln
-        self.keep = keep
+        V, R, par, ln = fa.V, fa.R, fa.parent, fa.length
+        self._keep = keep
         if cutmask is None:
             cutmask = np.zeros(V, dtype=bool)
             cut_piece = np.zeros(0)
-        self.cut_piece = cut_piece
         # kept children plus cut leaves (a cut edge's child is never kept)
-        kcnt = np.bincount(par[(keep | cutmask) & ~fa.is_root], minlength=V)
-        real = keep & (fa.is_root | (kcnt != 1))
+        kcnt = np.bincount(par[R:][(keep | cutmask)[R:]], minlength=V)
+        real = keep & (kcnt != 1)
+        real[:R] = keep[:R]
         anchor = par.copy()  # level-1 vertices anchor at their root
         acc = ln.copy()
-        for g in range(2, fa.ngen):
-            seg = fa.gen_slice(g)
+        for seg in _levels(fa, 2, fa.ngen, 1):
             if not keep[seg].any():
                 break  # the kept set hangs from the roots: nothing deeper
             p = par[seg]
@@ -257,41 +217,72 @@ class ForestReduction:
             anchor[seg] = np.where(preal, p, anchor[p])
             acc[seg] += np.where(preal, 0.0, acc[p])
         self.kcnt, self.anchor, self.acc = kcnt, anchor, acc
-        self.cut_idx = cut_idx = cutmask.nonzero()[0]
+        cut_idx = cutmask.nonzero()[0]
+        cut_tree = fa.tree[cut_idx]
+        if R > 1:
+            o = np.argsort(cut_tree, kind="stable")
+            cut_idx, cut_tree, cut_piece = cut_idx[o], cut_tree[o], cut_piece[o]
+        self.cut_idx, self.cut_slot, self.cut_piece = cut_idx, cut_tree, cut_piece
         w = par[cut_idx]
         wreal = real[w]
-        self.cut_slot = fa.slot[cut_idx]
         self.cut_parent_red = np.where(wreal, w, anchor[w])
         self.cut_len_red = cut_piece + np.where(wreal, 0.0, acc[w])
-        body = real & ~fa.is_root
-        self.red_edge_vertices = body.nonzero()[0]
-        self.red_edges = np.bincount(fa.slot[body | cutmask], minlength=fa.R)
+        real[:R] = False
+        self._body = real
+        self.red_edges = np.bincount(fa.tree[real | cutmask], minlength=R)
         self.survived = self.red_edges > 0
+        if R <= 1:  # one tree is already in its breadth-first order
+            self.keep = keep
+            self.red_edge_vertices = real.nonzero()[0]
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Per-vertex kept mask, tree by tree: tree r's vertices, in its
+        breadth-first order, are ``keep[fa.off[r]:fa.off[r + 1]]``."""
+        return self._keep[self.fa.by_tree]
+
+    @cached_property
+    def red_edge_vertices(self) -> np.ndarray:
+        """The lower vertex of every uncut reduced edge, tree by tree in
+        breadth-first order."""
+        body = self._body.nonzero()[0]
+        return body[np.argsort(self.fa.tree[body], kind="stable")]
+
+    @cached_property
+    def _body_off(self) -> np.ndarray:
+        off = np.zeros(self.fa.R + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.fa.tree[self.red_edge_vertices], minlength=self.fa.R),
+                  out=off[1:])
+        return off
 
     @cached_property
     def first_branch(self) -> np.ndarray:
         """Per live slot: the branch degree at the first vertex of the
         reduced tree (0 when it is a bare edge)."""
-        fa, keep, kcnt = self.fa, self.keep, self.kcnt
+        fa, keep, kcnt = self.fa, self._keep, self.kcnt
+        R = fa.R
         # first kept child, to walk degree-2 chains up from the stem
         fkc = np.full(fa.V, -1, dtype=np.int64)
-        kept_nonroot = (keep & ~fa.is_root).nonzero()[0]
-        fkc[fa.par[kept_nonroot]] = kept_nonroot
-        fkc[fa.par[self.cut_idx]] = -2  # chain runs into a cut leaf
-        out = np.zeros(fa.R, dtype=np.int64)
-        for s in self.survived.nonzero()[0]:
-            v = fa.off[s] + 1
-            if not keep[v]:
-                continue  # stem cut: a bare edge remains
-            while kcnt[v] == 1:
-                v = fkc[v]
-                if v < 0:
-                    break
-            out[s] = kcnt[v] if v >= 0 else 0
+        kept_nonroot = R + keep[R:].nonzero()[0]
+        fkc[fa.parent[kept_nonroot]] = kept_nonroot
+        fkc[fa.parent[self.cut_idx]] = -2  # chain runs into a cut leaf
+        out = np.zeros(R, dtype=np.int64)
+        s = self.survived.nonzero()[0]
+        v = fa.first[s]
+        on = keep[v]  # stem cut: a bare edge remains
+        s, v = s[on], v[on]
+        while len(s):  # every surviving chain walks one step per pass
+            k = kcnt[v]
+            done = k != 1
+            out[s[done]] = k[done]
+            s, v = s[~done], fkc[v[~done]]
+            on = v >= 0
+            s, v = s[on], v[on]
         return out
 
     def pooled_lengths(self) -> np.ndarray:
-        """Edge lengths of all reduced surviving trees, pooled."""
+        """Edge lengths of all reduced surviving trees, pooled: every tree's
+        uncut edges, tree by tree, then the cut pieces."""
         return np.concatenate((self.acc[self.red_edge_vertices], self.cut_len_red))
 
     def extract_reduced(self, live_slot: int):
@@ -303,19 +294,24 @@ class ForestReduction:
         fa = self.fa
         if not self.survived[live_slot]:
             return MetricTree.empty() if fa.metric else CombinatorialTree.empty()
-        lo, hi = fa.off[live_slot], fa.off[live_slot + 1]
-        body = self.red_edge_vertices
-        mine = body[body.searchsorted(lo): body.searchsorted(hi)]
-        cuts = np.arange(*self.cut_slot.searchsorted([live_slot, live_slot + 1]))
-        w = fa.par[self.cut_idx[cuts]]
-        last = fa.par[lo:hi].searchsorted(w, side="right") - 1 + lo
-        order = np.argsort(np.concatenate((2 * mine, 2 * last + 1)), kind="stable")
+        mine, cuts = self.red_edge_vertices, slice(None)
+        if fa.R > 1:  # the tree's kept vertices and cut points
+            mine = mine[slice(*self._body_off[live_slot: live_slot + 2])]
+            cuts = slice(*self.cut_slot.searchsorted([live_slot, live_slot + 1]))
+        up = np.concatenate((self.anchor[mine], self.cut_parent_red[cuts]))
+        w = fa.parent[self.cut_idx[cuts]]
+        m, lpar = mine, fa.parent
+        if fa.R > 1:  # from positions to breadth-first ids within the tree
+            lid = fa.local_id
+            m, up, w = lid[mine], lid[up], lid[w]
+            lpar = lid[fa.parent[fa.by_tree[fa.off[live_slot]: fa.off[live_slot + 1]]]]
+        last = lpar.searchsorted(w, side="right") - 1
+        order = np.argsort(np.concatenate((2 * m, 2 * last + 1)), kind="stable")
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(1, len(order) + 1)
-        new_of = np.zeros(hi - lo, dtype=np.int64)  # reduced ids; the root is 0
-        new_of[mine - lo] = rank[:len(mine)]
-        up = np.concatenate((self.anchor[mine], self.cut_parent_red[cuts]))[order] - lo
-        parent = np.concatenate(([-1], new_of[up]))
+        new_of = np.zeros(len(lpar), dtype=np.int64)  # reduced ids; the root is 0
+        new_of[m] = rank[:len(m)]
+        parent = np.concatenate(([-1], new_of[up[order]]))
         length = np.concatenate(([0.0], np.concatenate(
             (self.acc[mine], self.cut_len_red[cuts]))[order]))
         if fa.metric:
@@ -325,13 +321,14 @@ class ForestReduction:
     def scatter(self, per_live, fill=0):
         """Per-live-slot values back onto the original chunk positions."""
         per_live = np.asarray(per_live)
-        out = np.full(self.fa.n_slots, fill, dtype=per_live.dtype)
-        out[self.fa.slot_index] = per_live
+        out = np.full(len(self.fa), fill, dtype=per_live.dtype)
+        out[self.fa.slots] = per_live
         return out
 
 
 class PrunedForest(ForestReduction):
-    """Generalized dynamical pruning of a whole chunk of trees, plus the
+    """Generalized dynamical pruning of a whole chunk of trees (a
+    :class:`~igwlab.trees.Forest` or a list of trees), plus the
     first-branch-point thinning pair (k1, m1) of planted trees: the
     children of the stem's upper vertex, and how many of their planted
     subtrees survive the pruning on their own.
@@ -342,45 +339,49 @@ class PrunedForest(ForestReduction):
         if threshold <= 0:
             raise ValueError("the forest path needs a positive threshold")
         thr = float(threshold)
-        fa = _ForestArrays(trees)
+        fa = _as_forest(trees)
+        R = fa.R
         F, Vint = _forest_values(fa, phi)
         if phi.law == "additive":
-            top = F + fa.ln  # the value just below each vertex's parent
+            top = F + fa.length  # the value just below each vertex's parent
             alive = top > thr
             keep = F >= thr
-            cutmask = alive & ~keep & ~fa.is_root
+            cutmask = alive & ~keep
+            cutmask[:R] = False
             cut_piece = top[cutmask] - thr
         else:
             alive = Vint >= thr
             keep = alive.copy()
             cutmask = None
             cut_piece = None
-        keep |= fa.is_root
+        keep[:R] = True
         super().__init__(fa, keep, cutmask, cut_piece)
-        self.alive = alive & ~fa.is_root
+        alive[:R] = False
+        self.alive = alive
 
     @property
     def k1(self) -> np.ndarray:
-        return self.fa.nchild[self.fa.off[:-1] + 1]
+        return self.fa.nchild[self.fa.first]
 
     @property
     def m1(self) -> np.ndarray:
         fa = self.fa
-        first = fa.off[:-1] + 1
-        kid_of_first = fa.par == np.repeat(first, np.diff(fa.off))
-        kid_of_first[fa.off[:-1]] = False
-        return np.bincount(fa.slot[kid_of_first & self.alive], minlength=fa.R)
+        if fa.ngen < 3:
+            return np.zeros(fa.R, dtype=np.int64)
+        seg = slice(*fa.level_starts[2:4])  # the children of first vertices
+        t = fa.tree[seg]
+        kid = (fa.parent[seg] == fa.first[t]) & self.alive[seg]
+        return np.bincount(t[kid], minlength=fa.R)
 
 
-def _spanning_reduction(fa: _ForestArrays, chosen) -> ForestReduction:
+def _spanning_reduction(fa: Forest, chosen) -> ForestReduction:
     """Reduce each tree to the minimal subtree spanning its root and the
     chosen vertices."""
     keep = np.zeros(fa.V, dtype=bool)
     keep[chosen] = True
-    for g in range(fa.ngen - 1, 0, -1):
-        seg = fa.gen_slice(g)
-        keep[fa.par[seg][keep[seg]]] = True
-    keep[fa.off[:-1]] = True
+    for seg in _levels(fa, fa.ngen - 1, 0, -1):
+        keep[fa.parent[seg][keep[seg]]] = True
+    keep[:fa.R] = True
     return ForestReduction(fa, keep)
 
 
@@ -389,20 +390,25 @@ def color_forest(trees, p: float, seed: int, replicate0: int = 0,
     """Bernoulli leaf coloring of a whole chunk, one stream per tree.
 
     Tree i (chunk position) uses the stream (seed, replicate0 + i, domain);
-    leaf number r of a tree consumes that stream's r-th uniform, exactly
-    like feeding :func:`bernoulli_color` a fresh ``CounterStream`` per tree.
+    leaf number r of a tree, in its breadth-first order, consumes that
+    stream's r-th uniform, exactly like feeding :func:`bernoulli_color` a
+    fresh ``CounterStream`` per tree.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
-    fa = _ForestArrays(trees)
+    fa = _as_forest(trees)
     from .rng import philox4x32, stream_keys, _to_unit
 
-    leaves = np.flatnonzero((fa.nchild == 0) & ~fa.is_root)
-    lslot = fa.slot[leaves]
-    cut, _ = fa._segments(lslot)  # leaves are slot-sorted (global id order)
+    R = fa.R
+    leaves = R + np.flatnonzero(fa.nchild[R:] == 0)
+    lt = fa.tree[leaves]
+    if R > 1:
+        o = np.argsort(lt, kind="stable")
+        leaves, lt = leaves[o], lt[o]
+    cut, _ = _segments(lt)
     sizes = np.diff(np.concatenate((cut, [len(leaves)])))
     rank = np.arange(len(leaves), dtype=np.int64) - np.repeat(cut, sizes)
-    keys = stream_keys(seed, fa.slot_index[lslot] + replicate0)
+    keys = stream_keys(seed, fa.slots[lt] + replicate0)
     w01, w23 = philox4x32(keys, (rank >> 1).astype(np.uint64), domain)
     u = np.where(rank & 1, _to_unit(w23), _to_unit(w01))
     return _spanning_reduction(fa, leaves[u < (1.0 - p)])
@@ -411,11 +417,11 @@ def color_forest(trees, p: float, seed: int, replicate0: int = 0,
 def survival_statistics(trees, phi: PhiFunctional | str) -> np.ndarray:
     """:func:`survival_statistic` of every tree of a chunk (0 for None)."""
     phi = _as_phi(phi)
-    fa = _ForestArrays(trees)
+    fa = _as_forest(trees)
     F, Vint = _forest_values(fa, phi)
-    first = fa.off[:-1] + 1
-    out = np.zeros(fa.n_slots)
-    out[fa.slot_index] = F[first] + fa.ln[first] if phi.law == "additive" else Vint[first]
+    first = fa.first
+    out = np.zeros(len(fa))
+    out[fa.slots] = F[first] + fa.length[first] if phi.law == "additive" else Vint[first]
     return out
 
 
@@ -470,7 +476,7 @@ def horton_prune(t):
         return t
     keep = t.children_counts() > 0
     keep[0] = True
-    return ForestReduction(_ForestArrays([t]), keep).extract_reduced(0)
+    return ForestReduction(Forest.from_trees([t]), keep).extract_reduced(0)
 
 
 def bernoulli_color(t: MetricTree, p: float, stream: CounterStream) -> PrunedResult:
@@ -484,7 +490,7 @@ def bernoulli_color(t: MetricTree, p: float, stream: CounterStream) -> PrunedRes
         raise ValueError("p must lie in [0, 1)")
     if t.is_empty:
         return PrunedResult(t, False, keep=np.ones(1, dtype=bool))
-    fa = _ForestArrays([t])
+    fa = Forest.from_trees([t])
     leaves = (fa.nchild == 0).nonzero()[0]
     red = _spanning_reduction(fa, leaves[stream.bernoulli(len(leaves), 1.0 - p)])
     return PrunedResult(red.extract_reduced(0), bool(red.survived[0]), keep=red.keep)
@@ -556,7 +562,7 @@ def hereditary_reduce(t: MetricTree, keep_pred: Callable[[MetricTree], bool] | N
         cuts.append((int(c), 0.5 * (lo + hi)))
     cutmask = np.zeros(n, dtype=bool)
     cutmask[[c for c, _ in cuts]] = True
-    red = ForestReduction(_ForestArrays([t]), keep, cutmask, np.array([s for _, s in cuts]))
+    red = ForestReduction(Forest.from_trees([t]), keep, cutmask, np.array([s for _, s in cuts]))
     tree = red.extract_reduced(0)
     return PrunedResult(tree, not tree.is_empty, tuple(cuts), keep)
 

@@ -39,6 +39,9 @@ _MIX2 = 0x94D049BB133111EB
 
 _U64_MASK = (1 << 64) - 1
 
+# Lanes per tile of a large philox4x32 call.
+_TILE = 1 << 14
+
 # Scale for mapping integers to floats: 2**-53.
 _INV53 = 1.0 / 9007199254740992.0
 
@@ -87,9 +90,28 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
     Returns
     -------
     (w01, w23) : two uint64 arrays, the four 32-bit output words paired up.
+
+    Calls of more than ``_TILE`` lanes run tile by tile, so that the ten
+    rounds' temporaries stay in cache; lanes are independent, so the
+    output does not depend on the tiling.
     """
     key = np.asarray(key, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
+    if max(key.size, counter.size) <= _TILE:
+        return _philox_rounds(key, counter, domain)
+    key, counter = np.broadcast_arrays(key, counter)
+    shape = key.shape
+    key, counter = key.ravel(), counter.ravel()
+    w01 = np.empty(key.size, dtype=np.uint64)
+    w23 = np.empty(key.size, dtype=np.uint64)
+    for lo in range(0, key.size, _TILE):
+        tile = slice(lo, lo + _TILE)
+        _philox_rounds(key[tile], counter[tile], domain, (w01[tile], w23[tile]))
+    return w01.reshape(shape), w23.reshape(shape)
+
+
+def _philox_rounds(key, counter, domain, out=None):
+    """:func:`philox4x32` on one tile, into ``out`` when given."""
     c0 = counter & _LO32
     c1 = counter >> np.uint64(32)
     c2 = np.full(c0.shape, np.uint64(domain & 0xFFFFFFFF), dtype=np.uint64)
@@ -116,9 +138,10 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
         hi0 ^= c3
         hi0 ^= k1
         c0, c1, c2, c3 = hi1, p1, hi0, p0
-    w01 = c0 << _32
+    w01, w23 = out if out is not None else (None, None)
+    w01 = np.left_shift(c0, _32, out=w01)
     w01 |= c1
-    w23 = c2 << _32
+    w23 = np.left_shift(c2, _32, out=w23)
     w23 |= c3
     return w01, w23
 

@@ -16,8 +16,12 @@ streaming tail fallback for draws beyond the table.
 
 Two batch collectors cover the package's needs: summary statistics
 (height/length/edge count plus the pooled histogram of every draw made,
-no tree storage) and full forests of :class:`~igwlab.trees.MetricTree`
-for the pruning experiments, yielded in chunks to bound memory.
+no tree storage) and forests for the pruning experiments, yielded in
+chunks to bound memory.  A chunk's forest is a columnar
+:class:`~igwlab.trees.Forest` in the order the engine generates vertices
+(by level, then tree, then breadth-first id), which the pruning engine
+consumes as is; :class:`~igwlab.trees.MetricTree` objects are built only
+when a caller indexes or iterates it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .offspring import FiniteTable, OffspringDistribution
 from .rng import CounterStream, block_uniforms, stream_key, stream_keys
-from .trees import CombinatorialTree, MetricTree
+from .trees import CombinatorialTree, Forest, MetricTree
 
 __all__ = [
     "SampleConfig",
@@ -217,8 +221,9 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
     """One chunk of replicates, generation-synchronous across trees.
 
     Returns (censored, counts, hist, heights, lengths, rows) where rows is
-    a list of per-generation tuples (slot, j, parent_j, gen, elen) covering
-    every processed vertex, or None when want_trees is False.
+    a list of per-generation tuples (slot, parent_pos, elen) covering every
+    processed vertex, ``parent_pos`` indexing the previous generation (the
+    roots, one per slot, for the first), or None when want_trees is False.
     """
     tab = _tables(d)
     R = len(keys)
@@ -232,9 +237,8 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
     # frontier state, kept sorted by slot; every vertex j >= 1 passes through
     f_slot = np.arange(R, dtype=np.int64)
     f_j = np.ones(R, dtype=np.int64)
-    f_parent = np.zeros(R, dtype=np.int64)
+    f_ppos = f_slot
     f_depth = np.zeros(R) if lam is not None else None
-    gen = 1
     elen = None
 
     while len(f_slot):
@@ -245,9 +249,7 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
             elen = -np.log(u_len) / lam
             depth = f_depth + elen
         if want_trees:
-            rows.append((f_slot, f_j, f_parent,
-                         np.full(len(f_slot), gen, dtype=np.int32),
-                         elen if lam is not None else None))
+            rows.append((f_slot, f_ppos, elen))
         # frontier is sorted by slot: all per-slot reductions via segments,
         # so per-generation work stays proportional to the frontier size
         seg = np.concatenate(([0], np.flatnonzero(np.diff(f_slot)) + 1))
@@ -262,7 +264,8 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
         if total_children == 0:
             break
         child_slot = np.repeat(f_slot, ks)
-        child_parent = np.repeat(f_j, ks)
+        if want_trees:
+            child_ppos = np.repeat(np.arange(len(f_slot)), ks)
         if lam is not None:
             child_pdepth = np.repeat(depth, ks)
         block_start = np.concatenate(([0], np.cumsum(seg_children)[:-1]))
@@ -274,54 +277,18 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
             censored[uslot[over_seg]] = True
             keep = ~np.repeat(over_seg, seg_children)
             child_slot = child_slot[keep]
-            child_parent = child_parent[keep]
+            if want_trees:
+                child_ppos = child_ppos[keep]
             child_j = child_j[keep]
             if lam is not None:
                 child_pdepth = child_pdepth[keep]
-        f_slot, f_j, f_parent = child_slot, child_j, child_parent
+        f_slot, f_j = child_slot, child_j
+        if want_trees:
+            f_ppos = child_ppos
         if lam is not None:
             f_depth = child_pdepth
-        gen += 1
 
     return censored, counts, hist, heights, lengths, rows
-
-
-def _assemble_trees(R, censored, counts, rows, metric: bool):
-    """Turn per-generation rows into per-slot trees (None for censored)."""
-    trees: list = [None] * R
-    if not rows:
-        return trees
-    slot = np.concatenate([r[0] for r in rows])
-    j = np.concatenate([r[1] for r in rows])
-    parent = np.concatenate([r[2] for r in rows])
-    gen = np.concatenate([r[3] for r in rows])
-    elen = np.concatenate([r[4] for r in rows]) if metric else None
-    order = np.argsort(slot, kind="stable")  # within a slot, (gen, j) stays sorted
-    slot = slot[order]
-    j = j[order]
-    parent = parent[order]
-    gen = gen[order]
-    if metric:
-        elen = elen[order]
-    bounds = np.searchsorted(slot, np.arange(R + 1))
-    for s in range(R):
-        if censored[s]:
-            continue
-        lo, hi = bounds[s], bounds[s + 1]
-        n = hi - lo
-        parr = np.empty(n + 1, dtype=np.int32)
-        parr[0] = -1
-        parr[j[lo:hi]] = parent[lo:hi]
-        g = gen[lo:hi]
-        gs = np.concatenate(([0], np.searchsorted(g, np.arange(1, g[-1] + 1)) + 1,
-                             [n + 1])).astype(np.int64)
-        if metric:
-            larr = np.zeros(n + 1)
-            larr[j[lo:hi]] = elen[lo:hi]
-            trees[s] = MetricTree(parr, larr, validate=False, gen_starts=gs)
-        else:
-            trees[s] = CombinatorialTree(parr, validate=False, gen_starts=gs)
-    return trees
 
 
 # --------------------------------------------------------------------- #
@@ -357,15 +324,19 @@ def sample_stats(d: OffspringDistribution, seed: int, n: int, *,
 def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
                 budget: int = 1_000_000, lam: float | None = None,
                 replicate0: int = 0, chunk: int = 4096):
-    """Yield (trees, censored_mask) chunk by chunk; censored slots are None."""
+    """Yield (forest, censored_mask) chunk by chunk.
+
+    The :class:`~igwlab.trees.Forest` holds the chunk's uncensored trees;
+    as a sequence it has one entry per replicate, None where censored.
+    """
     if d.classify() == "supercritical":
         raise ValueError("sampling requires a critical or subcritical law")
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         reps = np.arange(replicate0 + lo, replicate0 + hi, dtype=np.int64)
         keys = stream_keys(seed, reps)
-        cen, counts, _, _, _, rows = _batch(d, keys, budget, lam, want_trees=True)
-        yield _assemble_trees(hi - lo, cen, counts, rows, metric=lam is not None), cen
+        cen, _, _, _, _, rows = _batch(d, keys, budget, lam, want_trees=True)
+        yield Forest.from_rows(cen, rows, metric=lam is not None), cen
 
 
 def sample_forest(d: OffspringDistribution, seed: int, n: int, **kw):

@@ -24,13 +24,16 @@ operations are pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "CombinatorialTree",
     "MetricTree",
+    "Forest",
     "TreePoint",
     "shape",
     "tree_height",
@@ -236,6 +239,210 @@ class MetricTree(CombinatorialTree):
         )
 
 
+class Forest(Sequence):
+    """The live trees of a chunk as one set of columns, laid out by level.
+
+    Level 0 holds the roots of the R live trees in chunk order; every
+    later level is sorted by tree, then by breadth-first id within the
+    tree, so parents never decrease along a level and the children of a
+    vertex are a contiguous run of the next level.  This is the order in
+    which the sampler generates vertices, and the order the pruning
+    engine sweeps.  Columns, one entry per vertex:
+
+    * ``parent``: position of the parent (int64); each root points at itself;
+    * ``length``: length of the edge above the vertex (0 at roots, and
+      everywhere for shape-only forests);
+    * ``tree``: rank of the vertex's tree among the live trees;
+
+    plus ``level_starts`` (level g is ``level_starts[g]:level_starts[g+1]``),
+    ``first`` (per tree, the position of its vertex of breadth-first id 1),
+    ``slots`` (the chunk position of each live tree) and the chunk's
+    ``censored`` mask.  Roots are positions ``0..R-1``; in a planted
+    forest, such as every sampled one, the stems' upper vertices follow as
+    ``R..2R-1``.
+
+    As a read-only sequence the forest is the chunk: ``forest[i]`` builds
+    the tree in chunk slot ``i`` (None for a censored slot); for a sampled
+    chunk it is bit for bit the scalar reference sampler's tree.
+    """
+
+    def __init__(self, parent, length, tree, level_starts, slots, censored,
+                 metric: bool, first, *, nchild=None, by_tree=None):
+        self.parent = parent
+        self.length = length
+        self.tree = tree
+        self.level_starts = level_starts
+        self.slots = slots
+        self.censored = censored
+        self.metric = metric
+        self.first = first
+        self.R = len(slots)     # live trees
+        self.V = len(parent)    # vertices
+        if nchild is not None:
+            self.nchild = nchild
+        if by_tree is not None:
+            self.by_tree = by_tree
+
+    @classmethod
+    def from_rows(cls, censored, rows, metric: bool) -> "Forest":
+        """Build from the sampler's per-level rows ``(slot, parent_pos,
+        edge_length)``, where ``parent_pos`` indexes the previous level
+        and level 0 is one root per chunk slot.  Rows of censored slots
+        are dropped."""
+        n = len(censored)
+        sizes = [n] + [len(r[0]) for r in rows]
+        starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        slot = np.concatenate([np.arange(n, dtype=np.int64)] + [r[0] for r in rows])
+        parent = np.concatenate([np.arange(n, dtype=np.int64)]
+                                + [r[1] + starts[g] for g, r in enumerate(rows)])
+        if metric:
+            length = np.concatenate([np.zeros(n)] + [r[2] for r in rows])
+        live_rank = np.cumsum(~censored) - 1
+        if censored.any():
+            keep = ~censored[slot]
+            kept = np.cumsum(keep)
+            parent = (kept - 1)[parent[keep]]
+            slot = slot[keep]
+            if metric:
+                length = length[keep]
+            ends = kept[starts[1:] - 1]
+            nlev = int(np.count_nonzero(np.diff(ends, prepend=0)))
+            level_starts = np.concatenate(([0], ends[:nlev]))
+        else:
+            level_starts = starts
+        if not metric:
+            length = np.zeros(len(parent))
+        slots = np.flatnonzero(~censored)
+        R = len(slots)
+        return cls(parent, length, live_rank[slot], level_starts, slots, censored, metric,
+                   np.arange(R, 2 * R))
+
+    @classmethod
+    def from_trees(cls, trees) -> "Forest":
+        """Lay out a list of trees (None for a censored slot).  Empty trees
+        count as neither live nor censored."""
+        trees = list(trees)
+        censored = np.array([t is None for t in trees], dtype=bool)
+        slots = np.array([i for i, t in enumerate(trees) if t is not None and not t.is_empty],
+                         dtype=np.int64)
+        live = [trees[i] for i in slots]
+        R = len(live)
+        metric = bool(live) and isinstance(live[0], MetricTree)
+        if R == 1:
+            # one tree is already laid out by level: no sort
+            t = live[0]
+            V = t.n_vertices
+            parent = t.parent.astype(np.int64)
+            parent[0] = 0
+            return cls(parent, t.length if metric else np.zeros(V),
+                       np.zeros(V, dtype=np.int64), t.gen_starts(), slots, censored,
+                       metric, np.ones(1, dtype=np.int64),
+                       nchild=t.children_counts().astype(np.int64))
+        ns = np.array([t.n_vertices for t in live], dtype=np.int64)
+        off = np.zeros(R + 1, dtype=np.int64)
+        np.cumsum(ns, out=off[1:])
+        V = int(off[-1])
+        par = np.concatenate([t.parent for t in live] or [[]]).astype(np.int64)
+        par += np.repeat(off[:-1], ns)
+        par[off[:-1]] = off[:-1]
+        gen = np.concatenate([np.repeat(np.arange(len(gs) - 1), np.diff(gs))
+                              for gs in (t.gen_starts() for t in live)] or [[]])
+        order = np.argsort(gen, kind="stable")   # level position -> tree-major id
+        pos = np.empty(V, dtype=np.int64)
+        pos[order] = np.arange(V)
+        ngen = int(gen.max()) + 1 if V else 0
+        length = (np.concatenate([t.length for t in live])[order] if metric
+                  else np.zeros(V))
+        return cls(pos[par[order]], length, np.repeat(np.arange(R), ns)[order],
+                   np.searchsorted(gen[order], np.arange(ngen + 1)), slots, censored,
+                   metric, pos[off[:-1] + 1], by_tree=pos)
+
+    # -- sizes and derived columns ---------------------------------------- #
+
+    @property
+    def ngen(self) -> int:
+        return len(self.level_starts) - 1
+
+    @cached_property
+    def nchild(self) -> np.ndarray:
+        return np.bincount(self.parent[self.R:], minlength=self.V)
+
+    @cached_property
+    def by_tree(self) -> np.ndarray:
+        """Positions grouped by tree, each tree in breadth-first order."""
+        return np.argsort(self.tree, kind="stable")
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        """Tree r is ``by_tree[off[r]:off[r+1]]``."""
+        off = np.zeros(self.R + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.tree, minlength=self.R), out=off[1:])
+        return off
+
+    @cached_property
+    def local_id(self) -> np.ndarray:
+        """Each vertex's breadth-first id within its tree."""
+        if self.R <= 1:
+            return np.arange(self.V)
+        lid = np.empty(self.V, dtype=np.int64)
+        lid[self.by_tree] = np.arange(self.V) - np.repeat(self.off[:-1], np.diff(self.off))
+        return lid
+
+    def live(self) -> "Forest":
+        """The same columns as a chunk of the R live trees, tree r in slot r."""
+        R = self.R
+        return Forest(self.parent, self.length, self.tree, self.level_starts,
+                      np.arange(R, dtype=np.int64), np.zeros(R, dtype=bool), self.metric,
+                      self.first)
+
+    # -- the sequence of trees --------------------------------------------- #
+
+    def __len__(self) -> int:
+        return len(self.censored)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        r = int(np.searchsorted(self.slots, i))
+        if r == self.R or self.slots[r] != i:
+            return self._not_live(i)
+        idx = self.by_tree[self.off[r]: self.off[r + 1]]
+        level = np.searchsorted(self.level_starts, idx, side="right") - 1
+        return self._build(self.local_id[self.parent[idx]], self.length[idx], level)
+
+    def __iter__(self):
+        order = self.by_tree
+        parent = self.local_id[self.parent[order]]
+        length = self.length[order]
+        level = np.repeat(np.arange(self.ngen), np.diff(self.level_starts))[order]
+        off = self.off
+        slot_of = np.full(len(self), -1, dtype=np.int64)
+        slot_of[self.slots] = np.arange(self.R)
+        for i in range(len(self)):
+            r = slot_of[i]
+            if r >= 0:
+                lo, hi = off[r], off[r + 1]
+                yield self._build(parent[lo:hi], length[lo:hi].copy(), level[lo:hi])
+            else:
+                yield self._not_live(i)
+
+    def _not_live(self, i):
+        """None for a censored slot; a slot given an empty tree keeps it."""
+        if self.censored[i]:
+            return None
+        return MetricTree.empty() if self.metric else CombinatorialTree.empty()
+
+    def _build(self, parent, length, level):
+        """A tree from its parents by breadth-first id, lengths and levels."""
+        p = parent.astype(np.int32)
+        p[0] = -1
+        gs = np.concatenate(([0], np.searchsorted(level, np.arange(1, level[-1] + 1)),
+                             [len(level)]))
+        if self.metric:
+            return MetricTree(p, length, validate=False, gen_starts=gs)
+        return CombinatorialTree(p, validate=False, gen_starts=gs)
+
+
 # --------------------------------------------------------------------- #
 # Normalization and code construction                                     #
 # --------------------------------------------------------------------- #
@@ -373,10 +580,10 @@ def series_reduce(t):
     """
     if t.is_empty or t.is_reduced:
         return t
-    from .pruning import ForestReduction, _ForestArrays
+    from .pruning import ForestReduction
 
     keep = np.ones(t.n_vertices, dtype=bool)
-    return ForestReduction(_ForestArrays([t]), keep).extract_reduced(0)
+    return ForestReduction(Forest.from_trees([t]), keep).extract_reduced(0)
 
 
 def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from igwlab import cli
 from igwlab import experiments as xp
 from igwlab import gof
 from igwlab.cli import main as cli_main, read_config
@@ -222,6 +223,12 @@ class TestCLI:
         assert cli_main(["color", "--p", "0.5", "--seed", "7", "--in", str(forest),
                          "--out", str(out)]) == 0
         assert out.read_bytes() == recorded("colored.newick")
+
+    def test_chunked_prune_and_color_match_recorded_output(self, tmp_path, monkeypatch):
+        """prune and color read their input in chunks; chunks of 7 trees,
+        which do not divide the 300, change no output byte."""
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        self.test_prune_and_color_match_recorded_output(tmp_path)
 
     def test_sample_stats_json(self, tmp_path):
         out = tmp_path / "stats.json"

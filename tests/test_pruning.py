@@ -12,7 +12,7 @@ from igwlab import trees as T
 from igwlab.newick import from_newick, to_newick
 from igwlab.offspring import critical_binary, from_spec, igw
 from igwlab.rng import CounterStream
-from igwlab.sampler import sample_forest
+from igwlab.sampler import iter_forest, sample_forest
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +355,38 @@ def test_color_forest_equals_reference():
         if res.survived:
             assert T.almost_isometric(cf.extract_reduced(i), res.tree, 0.0)
             assert res.tree.leaf_count() == keep[leaves].sum()
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_reduction(x, y):
+    for name in ("survived", "red_edges", "first_branch", "pooled_lengths", "cut_idx",
+                 "cut_piece", "keep"):
+        a, b = getattr(x, name), getattr(y, name)
+        assert _same(a() if callable(a) else a, b() if callable(b) else b), name
+    for i in np.flatnonzero(x.survived):
+        s, t = x.extract_reduced(i), y.extract_reduced(i)
+        assert _same(s.parent, t.parent) and _same(s.length, t.length)
+
+
+def test_forest_and_its_trees_reduce_alike():
+    """The engine gives byte-identical outputs on a sampled forest and on
+    the list of its trees (censored slots included)."""
+    d = from_spec("igw:0.7")
+    (forest, cen), = iter_forest(d, 8, 300, budget=400, lam=1.0, replicate0=50, chunk=300)
+    trees = list(forest)
+    assert cen.any() and forest.R > 100
+    for phi in ("height", "length", "leaves", "ord"):
+        stat = P.survival_statistics(forest, phi)
+        assert _same(stat, P.survival_statistics(trees, phi))
+        thr = 2.0 if P.phi_by_name(phi).law == "constant" else float(np.median(stat[~cen]))
+        x, y = P.PrunedForest(forest, phi, thr), P.PrunedForest(trees, phi, thr)
+        _same_reduction(x, y)
+        assert _same(x.k1, y.k1) and _same(x.m1, y.m1)
+    x, y = P.color_forest(forest, 0.5, 3, replicate0=7), P.color_forest(trees, 0.5, 3, replicate0=7)
+    _same_reduction(x, y)
 
 
 def test_forest_handles_none_slots():

@@ -4,6 +4,7 @@ stream independence, and the uniform mappings."""
 import numpy as np
 import pytest
 
+from igwlab import rng
 from igwlab.rng import (
     CounterStream,
     block_uniforms,
@@ -28,6 +29,21 @@ class TestPhilox:
         for i in range(len(keys)):
             s01, s23 = philox4x32_scalar(int(keys[i]), int(ctrs[i]), 3)
             assert (int(v01[i]), int(v23[i])) == (s01, s23)
+
+    def test_tiled_call_equals_scalar_and_per_tile_calls(self):
+        """A call of three tiles equals the scalar reference on both sides
+        of every tile boundary, and the concatenation of per-tile calls."""
+        T = rng._TILE
+        n = 3 * T
+        keys = stream_keys(11, np.arange(n) % 1000)
+        ctrs = np.arange(n, dtype=np.uint64) * np.uint64(7919)
+        w01, w23 = philox4x32(keys, ctrs, domain=5)
+        for i in (0, T - 1, T, 2 * T - 1, 2 * T, n - 1):
+            assert (int(w01[i]), int(w23[i])) == philox4x32_scalar(int(keys[i]), int(ctrs[i]), 5)
+        tiles = [philox4x32(keys[lo: lo + T], ctrs[lo: lo + T], domain=5)
+                 for lo in range(0, n, T)]
+        assert np.array_equal(w01, np.concatenate([a for a, _ in tiles]))
+        assert np.array_equal(w23, np.concatenate([b for _, b in tiles]))
 
     def test_domain_separates_streams(self):
         k = np.array([42], dtype=np.uint64)

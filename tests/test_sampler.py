@@ -7,6 +7,7 @@ import pytest
 from igwlab import offspring as O
 from igwlab import sampler as S
 from igwlab.rng import CounterStream
+from igwlab.trees import Forest
 
 
 class TestDeterminism:
@@ -54,6 +55,50 @@ class TestDeterminism:
             assert st.edges[i] == t.n_edges
             assert st.heights[i] == pytest.approx(t.tree_height(), abs=1e-12)
             assert st.lengths[i] == pytest.approx(t.tree_length(), abs=1e-9)
+
+
+class TestForest:
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("lam", [1.0, None])
+    def test_forest_equals_forest_of_its_trees(self, chunk, lam):
+        """A sampled chunk's columns equal those of the list of its trees,
+        censored slots included."""
+        d = O.critical_binary()
+        nslots = ncen = 0
+        for forest, cen in S.iter_forest(d, 3, 40, budget=30, lam=lam, replicate0=9,
+                                         chunk=chunk):
+            trees = list(forest)
+            assert len(trees) == len(forest) == len(cen)
+            assert [t is None for t in trees] == cen.tolist()
+            other = Forest.from_trees(trees)
+            for col in ("parent", "length", "tree", "level_starts", "first", "slots",
+                        "censored"):
+                a, b = getattr(forest, col), getattr(other, col)
+                assert a.dtype == b.dtype and np.array_equal(a, b), col
+            for i in (0, len(forest) - 1):
+                t = forest[i]
+                assert (t is None) == (trees[i] is None)
+                if t is not None:
+                    assert np.array_equal(t.parent, trees[i].parent)
+                    assert np.array_equal(t.gen_starts(), trees[i].gen_starts())
+            nslots += len(forest)
+            ncen += int(cen.sum())
+        assert nslots == 40 and 0 < ncen < 40
+
+    def test_forest_trees_equal_reference_sampler(self):
+        """Trees built from a forest match the scalar sampler in dtype too."""
+        d = O.critical_binary()
+        (forest, cen), = S.iter_forest(d, 21, 30, budget=20, lam=1.0, replicate0=4)
+        assert cen.any()
+        for i, t in enumerate(forest):
+            one = S.sample_metric(d, S.SampleConfig(seed=21, replicate=4 + i, budget=20,
+                                                    edge_rate=1.0))
+            assert (t is None) == one.censored
+            if t is not None:
+                assert t.parent.dtype == one.tree.parent.dtype == np.int32
+                assert np.array_equal(t.parent, one.tree.parent)
+                assert np.array_equal(t.length, one.tree.length)
+                assert np.array_equal(t.gen_starts(), one.tree.gen_starts())
 
 
 class TestStructure:
