@@ -31,6 +31,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from .offspring import IGW, OffspringDistribution, estimate_L
 
@@ -154,8 +155,6 @@ def _lgamma(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
         return math.lgamma(float(x))
-    from scipy.special import gammaln
-
     return gammaln(x)
 
 
@@ -473,21 +472,21 @@ def size_pmf_oracle(d: OffspringDistribution, n_max: int, exact: bool = True):
 
     alpha = [zero] * (n_max + 1)
     alpha[1] = qs[0] * one
+    # powers[k][m] = alpha^{*k}(m), zero for m < k; column m is filled once
+    # alpha is known below m, so each n adds one column in O(n^2)
+    powers = [None, alpha] + [[zero] * (n_max + 1) for _ in range(2, n_max)]
     for n in range(1, n_max):
         # alpha(n+1) needs k-fold convolutions of alpha at argument n
-        conv = [one] + [zero] * n  # alpha^{*0} = delta_0
         total = zero
-        for k in range(1, n + 1):
-            new = [zero] * (n + 1)
+        for k in range(2, n + 1):
+            prev = powers[k - 1]
+            acc = zero
             for a in range(k - 1, n):       # alpha^{*(k-1)} support starts at k-1
-                if conv[a] != zero:
-                    ca = conv[a]
-                    for b in range(1, n - a + 1):
-                        if alpha[b] != zero:
-                            new[a + b] += ca * alpha[b]
-            conv = new
-            if k >= 2 and qs[k] != zero:
-                total += qs[k] * conv[n]
+                if prev[a] != zero and alpha[n - a] != zero:
+                    acc += prev[a] * alpha[n - a]
+            powers[k][n] = acc
+            if qs[k] != zero:
+                total += qs[k] * acc
         alpha[n + 1] = total
     return alpha
 
@@ -591,8 +590,6 @@ def _log_q_deriv(d: OffspringDistribution, z: float, m: int) -> float:
         delta = -math.log(z)
         kcap = int((m + 60.0) / delta) + 20 * m + 2000
         k = np.arange(max(m, 2), kcap, dtype=np.float64)
-        from scipy.special import gammaln
-
         lt = (
             gammaln(k + 1.0)
             - gammaln(k - m + 1.0)
@@ -606,8 +603,6 @@ def _log_q_deriv(d: OffspringDistribution, z: float, m: int) -> float:
             return -math.inf
         if z == 0.0:
             return math.log(d.pmf(m)) + math.lgamma(m + 1) if d.pmf(m) > 0 else -math.inf
-        from scipy.special import gammaln, logsumexp
-
         k = np.arange(m, d.kmax + 1, dtype=np.float64)
         qk = d.probs[m:]
         good = qk > 0

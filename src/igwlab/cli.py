@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     return _dispatch(args)
 
 
-# prune and color read their input this many trees at a time
+# sample writes, and prune and color read, this many trees at a time
 _CHUNK = 4096
 
 
@@ -166,10 +166,12 @@ def _dispatch(args) -> int:
             with open(args.out, "w") as fh:
                 json.dump(payload, fh, indent=2)
         else:
-            trees, ncen = smp.sample_forest(d, spec.seed, spec.n,
-                                            budget=spec.budget, lam=spec.lam)
+            ncen = 0
             with open(args.out, "w") as fh:
-                _write_forest([t for t in trees if t is not None], fh)
+                for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
+                                                   lam=spec.lam, chunk=_CHUNK):
+                    _write_forest(forest.live(), fh)
+                    ncen += int(cen.sum())
             if ncen:
                 print(f"censored replicates skipped: {ncen}", file=sys.stderr)
         return 0

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 __all__ = [
     "GofReport",
@@ -172,7 +172,8 @@ def chi_square_pmf(observed_counts: np.ndarray, expected_probs: np.ndarray,
 
 
 def chi_square_threshold(dof: int, alpha: float = 0.01) -> float:
-    return float(sps.chi2.isf(alpha, dof))
+    """Upper-alpha quantile of chi-square with ``dof`` degrees of freedom."""
+    return float(special.chdtri(dof, alpha))
 
 
 # --------------------------------------------------------------------- #
@@ -197,8 +198,8 @@ def fit_exponential_rate(lengths: np.ndarray, conf: float = 0.95):
     if float(x.max()) == float(x.min()):
         raise ValueError("degenerate sample: all lengths equal")
     a = (1.0 - conf) / 2.0
-    lo = float(sps.gamma.ppf(a, n) / s)
-    hi = float(sps.gamma.isf(a, n) / s)
+    lo = float(special.gammaincinv(n, a) / s)
+    hi = float(special.gammainccinv(n, a) / s)
     return n / s, (lo, hi)
 
 

@@ -230,6 +230,15 @@ class IGW(OffspringDistribution):
             val *= (i - self.inv_q) / (i + 1.0)
         return val
 
+    def pmf_tail_iter(self, k0: int):
+        # one ratio step per term: the products of pmf(k) in the same order,
+        # at O(1) per term instead of O(k)
+        k, val = k0, self.pmf(k0)
+        while True:
+            yield k, val
+            val = val * ((k - self.inv_q) / (k + 1.0)) if k >= 2 else self.pmf(k + 1)
+            k += 1
+
     def pmf_array(self, kmax: int) -> np.ndarray:
         q = self.q
         out = np.zeros(kmax + 1)

@@ -12,7 +12,8 @@ infinite for critical laws, so every tree carries a node budget: a tree is
 *censored* when more than ``budget`` non-root vertices exist at the end of
 a BFS level (a value, not an error; breadth-first growth keeps the cutoff
 depth-unbiased).  Offspring counts come from an inverse-CDF table with a
-streaming tail fallback for draws beyond the table.
+streaming tail fallback for draws beyond the table, which inverts the exact
+tail once the float sum of pmf terms stops growing.
 
 Two batch collectors cover the package's needs: summary statistics
 (height/length/edge count plus the pooled histogram of every draw made,
@@ -128,10 +129,34 @@ class _CdfTable:
     def _walk_tail(self, u: float) -> int:
         acc = float(self.cum[-1])
         for k, pk in self.dist.pmf_tail_iter(len(self.cum)):
-            acc += pk
-            if u < acc or (pk == 0.0 and acc >= 1.0 - 1e-12):
+            nxt = acc + pk
+            if u < nxt or (pk == 0.0 and nxt >= 1.0 - 1e-12):
                 return k
+            if nxt == acc:
+                # pk fell below half an ulp of the sum; the tail pmf does not
+                # increase, so the sum is stuck short of u: invert the tail
+                return self._invert_tail(u, k)
+            acc = nxt
         raise AssertionError("unreachable")
+
+    def _invert_tail(self, u: float, k: int) -> int:
+        """Smallest j >= k with P(X > j) < 1 - u, galloping then bisecting."""
+        target = 1.0 - u
+        tail = self.dist.tail_prob
+        if tail(k + 1) < target:
+            return k
+        lo, step = k, 1  # tail(lo + 1) >= target
+        while tail(lo + step + 1) >= target:
+            lo += step
+            step *= 2
+        hi = lo + step   # tail(hi + 1) < target
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if tail(mid + 1) < target:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 _table_cache: dict = {}

@@ -6,6 +6,7 @@ reproducible reports, and fails when it should.
 """
 
 import gzip
+import hashlib
 import json
 import subprocess
 import sys
@@ -229,6 +230,18 @@ class TestCLI:
         which do not divide the 300, change no output byte."""
         monkeypatch.setattr(cli, "_CHUNK", 7)
         self.test_prune_and_color_match_recorded_output(tmp_path)
+
+    @pytest.mark.parametrize("chunk", [4096, 7])
+    def test_sample_writes_chunk_by_chunk(self, tmp_path, monkeypatch, capsys, chunk):
+        """sample writes each chunk as it is drawn; the file is the one the
+        whole-forest writer made (SHA-256 recorded), for any chunk size."""
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        forest = tmp_path / "trees.newick"
+        assert cli_main(["sample", "--dist", "binary", "--n", "300", "--seed", "42",
+                         "--budget", "10000", "--out", str(forest)]) == 0
+        assert hashlib.sha256(forest.read_bytes()).hexdigest() == (
+            "09272167063b8f1d0e0988c9f8583d6e1f451a79fed5e1788d814d08d9d6567d")
+        assert "censored replicates skipped: 4" in capsys.readouterr().err
 
     def test_sample_stats_json(self, tmp_path):
         out = tmp_path / "stats.json"

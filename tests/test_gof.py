@@ -1,8 +1,13 @@
 """Statistical utilities: null calibration, power, tail merging, ranges."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import igwlab
 from igwlab import gof
 from igwlab.newick import from_newick
 from igwlab.offspring import igw
@@ -109,6 +114,42 @@ class TestExponentialFit:
             gof.fit_exponential_rate(np.full(200, 1.0))
         with pytest.raises(ValueError):
             gof.fit_exponential_rate(np.zeros(200))
+
+
+class TestQuantiles:
+    """The verdict quantiles come from scipy.special, not scipy.stats."""
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half of the import time and memory
+        src = os.path.dirname(os.path.dirname(igwlab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = "import sys, igwlab, igwlab.cli; assert 'scipy.stats' not in sys.modules"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
+    def test_chi_square_threshold_bit_equal_to_scipy_stats(self):
+        from scipy import stats
+
+        dofs = np.arange(1, 401)
+        alphas = np.geomspace(1e-6, 0.9, 25)
+        want = stats.chi2.isf(alphas[:, None], dofs[None, :])
+        got = [[gof.chi_square_threshold(int(d), float(a)) for d in dofs] for a in alphas]
+        assert np.array_equal(np.array(got), want)
+
+    def test_exponential_rate_interval_bit_equal_to_scipy_stats(self):
+        from scipy import stats
+
+        for n in np.unique(np.geomspace(100, 2e6, 16).astype(np.int64)):
+            x = np.ones(n)
+            x[0] = 2.0
+            s = float(n + 1)
+            for conf in (0.5, 0.95, 0.99, 1 - 2e-6):
+                a = (1.0 - conf) / 2.0
+                _, (lo, hi) = gof.fit_exponential_rate(x, conf)
+                assert lo == float(stats.gamma.ppf(a, n) / s)
+                assert hi == float(stats.gamma.isf(a, n) / s)
 
 
 class TestShapeFrequency:

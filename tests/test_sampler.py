@@ -1,6 +1,10 @@
 """Sampler: determinism contract, scalar/vector equality, budget censoring,
 and statistical sanity of the generated laws."""
 
+import itertools
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -206,3 +210,52 @@ class TestTableCache:
         b = S._tables(O.from_spec("igw:0.66666666666666663"))
         assert a is not b and a.dist.q != b.dist.q
         assert S._tables(O.igw(0.666667)) is a
+
+
+@contextmanager
+def _time_limit(seconds: int):
+    """Raise TimeoutError in the block after ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestTailDraws:
+    """Draws past the 2^20-entry CDF table walk the pmf term by term."""
+
+    def test_stalled_walk_inverts_the_exact_tail(self):
+        """At u = 1 - 3e-11 the zipf:1.5 terms fall below half an ulp of
+        the running sum before it reaches u; the walk used to spin forever."""
+        d = O.from_spec("zipf:1.5")
+        tab = S._tables(d)
+        u = 1.0 - 3e-11
+        with _time_limit(5):
+            k = int(tab.lookup(np.array([u]))[0])
+        assert d.tail_prob(k + 1) < 1.0 - u <= d.tail_prob(k)
+
+    def test_terminating_walk_keeps_its_value(self):
+        # the value the float walk returned before stalls were detected
+        tab = S._tables(O.from_spec("zipf:1.5"))
+        assert int(tab.lookup(np.array([1.0 - 1e-10]))[0]) == 2446698
+
+    def test_igw_tail_terms_equal_pmf(self):
+        for q in (0.5, 2 / 3, 0.9):
+            d = O.igw(q)
+            for k0 in (0, 1, 2, 50, 5000):
+                terms = list(itertools.islice(d.pmf_tail_iter(k0), 200))
+                assert terms == [(k, d.pmf(k)) for k in range(k0, k0 + 200)]
+
+    def test_igw_draw_past_the_table_returns(self):
+        """Each tail term used to recompute pmf(k) from k = 2, so one igw:0.9
+        draw just past the table ran for many minutes."""
+        tab = S._tables(O.igw(0.9))
+        u = tab.cum[-1] + (1.0 - tab.cum[-1]) * 0.01
+        with _time_limit(5):
+            assert int(tab.lookup(np.array([u]))[0]) == 1058103
