@@ -13,14 +13,14 @@ survival fixed point, and the generating-function limit that identifies the
 pruning attractor.
 
 The alternating series cancel catastrophically as their argument grows (the
-terms peak near exp(c * lam*q*x) while the sums stay O(1)), so every series
-evaluation goes through a :class:`SeriesEvalPolicy`: a cheap a-priori
-log-term scan bounds the largest term, small cases take a vectorized
-float64 path, and everything else is summed by mpmath at
-log2(max term) + 64 bits, with a cancellation guard that refuses to return
-digits that were never there.  For rational q the edge-count law is also
-computed in exact big-rational arithmetic (B_k is a finite rational
-product), which is what the acceptance identities use.
+terms peak near exp(c * lam*q*x) while the sums stay O(1)), so one evaluator
+sums them all: a cheap a-priori log-term scan bounds the largest term, small
+cases take a vectorized float64 path, and everything else is summed by
+mpmath at log2(max term) + 64 bits, or at an explicit ``prec_bits``, with a
+cancellation guard that refuses to return digits that were never there.  For
+rational q the edge-count law is also computed in exact big-rational
+arithmetic (B_k is a finite rational product), which is what the acceptance
+identities use.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .offspring import IGW, OffspringDistribution, estimate_L
+from .offspring import OffspringDistribution, estimate_L
 
 __all__ = [
-    "SeriesEvalPolicy",
     "CancellationError",
     "height_cdf",
     "height_survival_pt",
@@ -44,6 +43,7 @@ __all__ = [
     "length_pdf",
     "length_cdf",
     "length_cdf_grid",
+    "length_cdf_grid_limit",
     "length_tail",
     "length_pdf_bessel_binary",
     "length_cdf_bessel_binary",
@@ -67,35 +67,17 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# the length scan and the Bessel series give up after this many terms
+_MAX_TERMS = 200_000
+# an extended-precision sum must keep this many bits:
+# max|term| / |sum| <= 2**(prec - _GUARD_BITS)
+_GUARD_BITS = 20
+# the float64 path takes a series whose largest term is at most 2**30
+_FLOAT64_MAX_LOG_TERM = math.log(2.0 ** 30)
 
 
 class CancellationError(ArithmeticError):
-    """A series lost more bits to cancellation than the policy allows."""
-
-
-@dataclass(frozen=True)
-class SeriesEvalPolicy:
-    """How to sum the alternating series.
-
-    prec_bits = 0 lets the evaluator pick log2(max term) + 64 bits from the
-    a-priori term scan; an explicit value must be >= 53 and is used as-is
-    (the cancellation guard then aborts rather than return noise).
-    ``guard_drop_bits``: the sum must retain at least this many bits, i.e.
-    max|term|/|sum| <= 2**(prec - guard_drop_bits).
-    ``float64_max_term``: largest allowed term magnitude on the fast path.
-    """
-
-    prec_bits: int = 0
-    max_terms: int = 200_000
-    guard_drop_bits: int = 20
-    float64_max_term: float = 2.0 ** 30
-
-    def __post_init__(self):
-        if self.prec_bits and self.prec_bits < 53:
-            raise ValueError("explicit precision must be at least 53 bits")
-
-
-_DEFAULT_POLICY = SeriesEvalPolicy()
+    """A series lost more bits to cancellation than the guard allows."""
 
 
 # --------------------------------------------------------------------- #
@@ -103,9 +85,13 @@ _DEFAULT_POLICY = SeriesEvalPolicy()
 # --------------------------------------------------------------------- #
 
 
-def _check_q_lam(q: float, lam: float):
+def _check_q(q):
     if not 0.5 <= q < 1.0:
         raise ValueError("q must lie in [1/2, 1)")
+
+
+def _check_q_lam(q: float, lam: float):
+    _check_q(q)
     if lam <= 0.0:
         raise ValueError("lam must be positive")
 
@@ -141,7 +127,7 @@ def height_ode_max_residual(q: float, lam: float, xs, h: float = 1e-4) -> float:
 
 
 # --------------------------------------------------------------------- #
-# The Gamma-ratio block and series machinery                              #
+# The Gamma-ratio block and the alternating-series evaluator              #
 # --------------------------------------------------------------------- #
 
 
@@ -158,6 +144,10 @@ def _lgamma(x):
     return gammaln(x)
 
 
+def _log(x):
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+
+
 def B_fraction(n: int, q: Fraction) -> Fraction:
     """Exact B_n for rational q."""
     nq = Fraction(n) / q
@@ -167,89 +157,69 @@ def B_fraction(n: int, q: Fraction) -> Fraction:
     return out
 
 
-def _series_log_terms(q: float, log_factor: float, kind: str, max_terms: int):
-    """Scan log|term_n|; return (n_stop, argmax, logmax).
+# A series' log-term formula is written once, against one of these two
+# arithmetics: float64 over an array of n (math.* on scalars), or mpmath at
+# the working precision, one n at a time.
 
-    kind "pdf": term_n = B_n (lam q)^n x^(n-1) / (n! (n-1)!); log_factor
-    must then be log(lam q x) and the constant -log x is handled by caller.
-    kind "cdf": term_n = B_n (lam q x)^n / (n!)^2.
-    Terms decay superexponentially after their peak; the scan stops once
-    120 nats below the peak.
+
+class _Float64:
+    num = float
+    log = staticmethod(_log)
+    lgamma = staticmethod(_lgamma)
+
+    @staticmethod
+    def plus_log_B(x, n, q):
+        return x + _log_B(n, q)
+
+
+class _Mpmath:
+    num = mp.mpf
+    log = mp.log
+    lgamma = mp.loggamma
+
+    @staticmethod
+    def plus_log_B(x, n, q):
+        # the loggammas join x one at a time here and as one rounded block in
+        # float64: the roundings each path has always made, kept bit for bit
+        return x + mp.loggamma(n / q + 1) - mp.loggamma(n / q - n + 2)
+
+
+def _bits(prec_bits: int, auto: int) -> int:
+    """The working precision: ``prec_bits`` when set, else ``auto``.
+
+    An explicit precision must be at least 53 bits and is used as-is (the
+    cancellation guard then aborts rather than return noise).
     """
-    logmax = -math.inf
-    argmax = 1
-    n = 0
-    block = 64
-    while n < max_terms:
-        ns = np.arange(n + 1, min(n + 1 + block, max_terms + 1), dtype=np.float64)
-        lt = _log_B(ns, q) + ns * log_factor - 2.0 * _lgamma(ns + 1.0)
-        if kind == "pdf":
-            lt += np.log(ns)  # n!(n-1)! = (n!)^2 / n
-        m = float(lt.max())
-        if m > logmax:
-            logmax = m
-            argmax = int(ns[int(lt.argmax())])
-        n = int(ns[-1])
-        if lt[-1] < logmax - 120.0:
-            return n, argmax, logmax
-        block = min(2 * block, 8192)
-    raise CancellationError("series term scan exceeded max_terms")
+    if prec_bits and prec_bits < 53:
+        raise ValueError("explicit precision must be at least 53 bits")
+    return prec_bits or auto
 
 
-def _sum_series_float(q: float, lamq: float, x: float, kind: str, n_stop: int) -> float:
-    n = np.arange(1, n_stop + 1, dtype=np.float64)
-    lt = _log_B(n, q) + n * math.log(lamq * x) - 2.0 * _lgamma(n + 1.0)
-    if kind == "pdf":
-        lt += np.log(n) - math.log(x)
-    terms = np.exp(lt)
-    terms[1::2] *= -1.0
-    # ascending-order pairwise reduction is fine at this magnitude
-    return float(terms.sum())
+def _alternating_sum(bind, n_stop: int, logmax: float, prec_bits: int) -> float:
+    """sum_{n=1}^{n_stop} (-1)^(n-1) exp(log_term(n)), log_term = bind(arithmetic).
 
-
-def _sum_series_mp(q: float, lamq: float, x: float, kind: str, n_stop: int,
-                   bits: int, policy: SeriesEvalPolicy) -> float:
+    ``logmax`` bounds the largest log term.  With no explicit precision and
+    terms of at most 2**30 the sum is one float64 pass; otherwise mpmath sums
+    it at ``prec_bits`` or log2(max term) + 64 bits, under the guard.
+    """
+    if not prec_bits and logmax <= _FLOAT64_MAX_LOG_TERM:
+        terms = np.exp(bind(_Float64)(np.arange(1, n_stop + 1, dtype=np.float64)))
+        terms[1::2] *= -1.0
+        # ascending-order pairwise reduction is fine at this magnitude
+        return float(terms.sum())
+    bits = _bits(prec_bits, int(max(logmax, 0.0) / _LN2) + 64)
     with mp.workprec(bits):
-        lx = mp.log(mp.mpf(lamq) * mp.mpf(x))
-        total = mp.mpf(0)
-        maxterm = mp.mpf(0)
-        qm = mp.mpf(q)
+        log_term = bind(_Mpmath)
+        total = maxterm = mp.mpf(0)
         for n in range(1, n_stop + 1):
-            lt = (
-                mp.loggamma(n / qm + 1)
-                - mp.loggamma(n / qm - n + 2)
-                + n * lx
-                - 2 * mp.loggamma(n + 1)
-            )
-            if kind == "pdf":
-                lt += mp.log(n) - mp.log(x)
-            term = mp.e ** lt
-            if term > maxterm:
-                maxterm = term
-            total += term if (n % 2 == 1) else -term
-        if maxterm > abs(total) * mp.mpf(2) ** (bits - policy.guard_drop_bits):
+            term = mp.e ** log_term(n)
+            maxterm = max(maxterm, term)
+            total += term if n % 2 == 1 else -term
+        if maxterm > abs(total) * mp.mpf(2) ** (bits - _GUARD_BITS):
             raise CancellationError(
-                f"lost all but {policy.guard_drop_bits} guard bits at {bits} bits; "
-                "raise SeriesEvalPolicy.prec_bits"
+                f"lost all but {_GUARD_BITS} guard bits at {bits} bits; raise prec_bits"
             )
         return float(total)
-
-
-def _eval_series(q: float, lam: float, x: float, kind: str, policy: SeriesEvalPolicy) -> float:
-    _check_q_lam(q, lam)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return lam * q if kind == "pdf" else 0.0
-    lamq = lam * q
-    n_stop, _, logmax = _series_log_terms(q, math.log(lamq * x), "cdf", policy.max_terms)
-    # the pdf terms differ by n/x: same scan is an adequate bound for sizing
-    if kind == "pdf":
-        logmax += math.log(max(n_stop, 1)) - math.log(x)
-    if policy.prec_bits == 0 and logmax <= math.log(policy.float64_max_term):
-        return _sum_series_float(q, lamq, x, kind, n_stop)
-    bits = policy.prec_bits or int(max(logmax, 0.0) / _LN2) + 64
-    return _sum_series_mp(q, lamq, x, kind, n_stop, bits, policy)
 
 
 # --------------------------------------------------------------------- #
@@ -257,22 +227,78 @@ def _eval_series(q: float, lam: float, x: float, kind: str, policy: SeriesEvalPo
 # --------------------------------------------------------------------- #
 
 
-def length_pdf(q: float, lam: float, x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> float:
-    """Density of total tree length at x; ell(0) = lam*q."""
-    return _eval_series(q, lam, float(x), "pdf", policy)
+def _length_log_term(q: float, lamq: float, x: float, pdf: bool = False):
+    """log|term_n| of the length series: B_n (lam q x)^n / (n!)^2 for the
+    CDF, times n/x for the density."""
+    def bind(ar):
+        qa, lf = ar.num(q), ar.log(ar.num(lamq) * ar.num(x))
+        lx = ar.log(ar.num(x)) if pdf else None
+
+        def log_term(n):
+            lt = ar.plus_log_B(0, n, qa) + n * lf - 2 * ar.lgamma(n + 1)
+            if pdf:
+                lt += ar.log(n) - lx
+            return lt
+        return log_term
+    return bind
 
 
-def length_cdf(q: float, lam: float, x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> float:
-    """P(length <= x)."""
-    return _eval_series(q, lam, float(x), "cdf", policy)
+def _length_scan(q: float, lamq: float, x: float):
+    """(n_stop, log max|term|) of the length CDF series at x.
+
+    Terms decay superexponentially after their peak; the scan stops once
+    120 nats below the peak.  The density's terms differ by n/x, so the
+    same scan sizes its sum too.
+    """
+    log_term = _length_log_term(q, lamq, x)(_Float64)
+    logmax = -math.inf
+    n = 0
+    block = 64
+    while n < _MAX_TERMS:
+        ns = np.arange(n + 1, min(n + 1 + block, _MAX_TERMS + 1), dtype=np.float64)
+        lt = log_term(ns)
+        logmax = max(logmax, float(lt.max()))
+        n = int(ns[-1])
+        if lt[-1] < logmax - 120.0:
+            return n, logmax
+        block = min(2 * block, 8192)
+    raise CancellationError(f"series term scan exceeded {_MAX_TERMS} terms")
 
 
-def length_cdf_grid(q: float, lam: float, xs, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> np.ndarray:
+def _length_series(q: float, lam: float, x: float, pdf: bool, prec_bits: int) -> float:
+    _check_q_lam(q, lam)
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    if x == 0.0:
+        return lam * q if pdf else 0.0
+    lamq = lam * q
+    n_stop, logmax = _length_scan(q, lamq, x)
+    if pdf:
+        logmax += math.log(max(n_stop, 1)) - math.log(x)
+    return _alternating_sum(_length_log_term(q, lamq, x, pdf), n_stop, logmax, prec_bits)
+
+
+def length_pdf(q: float, lam: float, x: float, *, prec_bits: int = 0) -> float:
+    """Density of total tree length at x; ell(0) = lam*q.
+
+    ``prec_bits`` = 0 sizes the precision from the term scan; an explicit
+    value (>= 53) forces the mpmath sum at that precision.
+    """
+    return _length_series(q, lam, float(x), True, prec_bits)
+
+
+def length_cdf(q: float, lam: float, x: float, *, prec_bits: int = 0) -> float:
+    """P(length <= x); ``prec_bits`` as for :func:`length_pdf`."""
+    return _length_series(q, lam, float(x), False, prec_bits)
+
+
+def length_cdf_grid(q: float, lam: float, xs) -> np.ndarray:
     """Vectorized CDF on a grid; float64 fast path only.
 
     Raises :class:`CancellationError` when the largest x needs extended
-    precision; callers restrict their comparison range accordingly.
+    precision, that is beyond :func:`length_cdf_grid_limit`.
     """
+    _check_q_lam(q, lam)
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.zeros(0)
@@ -282,15 +308,15 @@ def length_cdf_grid(q: float, lam: float, xs, policy: SeriesEvalPolicy = _DEFAUL
     if xmax == 0.0:
         return np.zeros_like(xs)
     lamq = lam * q
-    n_stop, _, logmax = _series_log_terms(q, math.log(lamq * xmax), "cdf", policy.max_terms)
-    if logmax > math.log(policy.float64_max_term):
+    n_stop, logmax = _length_scan(q, lamq, xmax)
+    if logmax > _FLOAT64_MAX_LOG_TERM:
         raise CancellationError(
             f"x up to {xmax:g} needs extended precision; restrict the grid "
             f"or evaluate pointwise with length_cdf"
         )
+    # the coefficients of x^n are the terms at x = 1
     n = np.arange(1, n_stop + 1, dtype=np.float64)
-    logc = _log_B(n, q) + n * math.log(lamq) - 2.0 * _lgamma(n + 1.0)
-    coeff = np.exp(logc)
+    coeff = np.exp(_length_log_term(q, lamq, 1.0)(_Float64)(n))
     coeff[1::2] *= -1.0
     out = np.zeros_like(xs)
     pos = xs > 0
@@ -300,6 +326,27 @@ def length_cdf_grid(q: float, lam: float, xs, policy: SeriesEvalPolicy = _DEFAUL
         acc = acc * xp + c
     out[pos] = acc * xp
     return out
+
+
+def length_cdf_grid_limit(q: float, lam: float) -> float:
+    """The largest x (to 40 bisection steps) that :func:`length_cdf_grid`
+    evaluates in float64."""
+    _check_q_lam(q, lam)
+    lamq = lam * q
+
+    def fits(x):
+        return _length_scan(q, lamq, x)[1] < _FLOAT64_MAX_LOG_TERM
+
+    lo, hi = 1.0, 2.0
+    while fits(hi):
+        lo, hi = hi, hi * 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def length_tail(q: float, lam: float, x: float) -> float:
@@ -312,19 +359,23 @@ def length_tail(q: float, lam: float, x: float) -> float:
 
 # Bessel-based closed forms for the binary case q = 1/2 (cross-check oracle)
 
-def bessel_i0(x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> float:
-    return _bessel_series(x, 0, policy)
+def bessel_i0(x: float, *, prec_bits: int = 0) -> float:
+    return _bessel_series(x, 0, _bessel_bits(x, prec_bits))
 
 
-def bessel_i1(x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> float:
-    return _bessel_series(x, 1, policy)
+def bessel_i1(x: float, *, prec_bits: int = 0) -> float:
+    return _bessel_series(x, 1, _bessel_bits(x, prec_bits))
 
 
-def _bessel_series(x: float, nu: int, policy: SeriesEvalPolicy) -> float:
-    """I_nu by its power series; all terms positive, precision sized to e^x."""
+def _bessel_bits(x: float, prec_bits: int) -> int:
+    """Precision sized to e^x, the magnitude of the positive-term sum."""
+    return _bits(prec_bits, int(1.45 * x) + 80)
+
+
+def _bessel_series(x: float, nu: int, bits: int) -> float:
+    """I_nu by its power series; all terms positive."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    bits = policy.prec_bits or int(1.45 * x) + 80
     with mp.workprec(bits):
         h = mp.mpf(x) / 2
         term = h ** nu / mp.factorial(nu)
@@ -336,34 +387,32 @@ def _bessel_series(x: float, nu: int, policy: SeriesEvalPolicy) -> float:
             if term < total * mp.mpf(2) ** (-bits + 8):
                 break
             k += 1
-            if k > policy.max_terms:
-                raise CancellationError("Bessel series exceeded max_terms")
+            if k > _MAX_TERMS:
+                raise CancellationError(f"Bessel series exceeded {_MAX_TERMS} terms")
         return float(total)
 
 
-def _bessel_emx(x: float, nu: int, policy: SeriesEvalPolicy) -> float:
-    bits = policy.prec_bits or int(1.45 * x) + 80
-    pol = SeriesEvalPolicy(prec_bits=max(bits, 53), max_terms=policy.max_terms)
+def _bessel_emx(x: float, nu: int, prec_bits: int) -> float:
+    bits = _bessel_bits(x, prec_bits)
     with mp.workprec(bits):
-        return float(mp.e ** (-mp.mpf(x)) * _bessel_series(x, nu, pol))
+        return float(mp.e ** (-mp.mpf(x)) * _bessel_series(x, nu, bits))
 
 
-def length_pdf_bessel_binary(lam: float, x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> float:
+def length_pdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> float:
     """q = 1/2 closed form: ell(x) = e^(-lam x) I_1(lam x) / x."""
     if x <= 0:
         raise ValueError("x must be > 0 (ell(0) = lam/2 by the series)")
-    return _bessel_emx(lam * x, 1, policy) / x
+    return _bessel_emx(lam * x, 1, prec_bits) / x
 
 
-def length_cdf_bessel_binary(lam: float, x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY) -> float:
+def length_cdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> float:
     """q = 1/2 closed form: L(x) = 1 - e^(-lam x)(I_0 + I_1)(lam x)."""
     if x < 0:
         raise ValueError("x must be >= 0")
     z = lam * x
-    bits = policy.prec_bits or int(1.45 * z) + 80
-    pol = SeriesEvalPolicy(prec_bits=max(bits, 53), max_terms=policy.max_terms)
+    bits = _bessel_bits(z, prec_bits)
     with mp.workprec(bits):
-        s = _bessel_series(z, 0, pol) + _bessel_series(z, 1, pol)
+        s = _bessel_series(z, 0, bits) + _bessel_series(z, 1, bits)
         return float(1 - mp.e ** (-mp.mpf(z)) * s)
 
 
@@ -372,78 +421,56 @@ def length_cdf_bessel_binary(lam: float, x: float, policy: SeriesEvalPolicy = _D
 # --------------------------------------------------------------------- #
 
 
-def size_pmf(q, n: int, policy: SeriesEvalPolicy = _DEFAULT_POLICY):
-    """P(#edges = n).  Fraction q -> exact Fraction; float q -> float."""
+def size_pmf(q, n: int, *, prec_bits: int = 0):
+    """P(#edges = n).  Fraction q -> exact Fraction; float q -> float.
+
+    ``prec_bits`` applies to float q, as for :func:`length_pdf`.
+    """
+    _check_q(q)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(q, Fraction):
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            term = (
-                Fraction(math.comb(n - 1, k - 1))
-                * B_fraction(k, q)
-                * q ** k
-                / Fraction(math.factorial(k))
-            )
-            total += term if k % 2 == 1 else -term
-        return total
-    return _size_float(float(q), n, n, "pmf", policy)
+    return _size_series(q, n, 0, prec_bits)
 
 
-def size_cdf(q, x: float, policy: SeriesEvalPolicy = _DEFAULT_POLICY):
+def size_cdf(q, x: float, *, prec_bits: int = 0):
     """P(#edges <= x) for x >= 1, via the binomial-telescoped form."""
+    _check_q(q)
     N = int(math.floor(x))
     if N < 1:
         return Fraction(0) if isinstance(q, Fraction) else 0.0
+    return _size_series(q, N, 1, prec_bits)
+
+
+def _size_log_term(q: float, N: int, s: int):
+    """log|term_k| of :func:`_size_series`: a binomial, B_k and q^k / k!."""
+    def bind(ar):
+        qa = ar.num(q)
+        lgN, lq = ar.lgamma(ar.num(N + s)), ar.log(qa)
+
+        def log_term(n):
+            logbin = lgN - ar.lgamma(n + s) - ar.lgamma(N - n + 1)
+            return ar.plus_log_B(logbin, n, qa) + n * lq - ar.lgamma(n + 1)
+        return log_term
+    return bind
+
+
+def _size_series(q, N: int, s: int, prec_bits: int):
+    """sum_{k=1}^{N} (-1)^(k-1) C(N-1+s, k-1+s) B_k q^k / k!: the pmf at N
+    (s = 0) or the CDF up to N (s = 1)."""
     if isinstance(q, Fraction):
         total = Fraction(0)
         for k in range(1, N + 1):
             term = (
-                Fraction(math.comb(N, k))
+                Fraction(math.comb(N - 1 + s, k - 1 + s))
                 * B_fraction(k, q)
                 * q ** k
                 / Fraction(math.factorial(k))
             )
             total += term if k % 2 == 1 else -term
         return total
-    return _size_float(float(q), N, N, "cdf", policy)
-
-
-def _size_float(q: float, n: int, kmax: int, kind: str, policy: SeriesEvalPolicy) -> float:
-    ks = np.arange(1, kmax + 1, dtype=np.float64)
-    if kind == "pmf":
-        logbin = _lgamma(float(n)) - _lgamma(ks) - _lgamma(n - ks + 1.0)
-    else:
-        logbin = _lgamma(n + 1.0) - _lgamma(ks + 1.0) - _lgamma(n - ks + 1.0)
-    lt = logbin + _log_B(ks, q) + ks * math.log(q) - _lgamma(ks + 1.0)
-    logmax = float(lt.max())
-    if policy.prec_bits == 0 and logmax <= math.log(policy.float64_max_term):
-        terms = np.exp(lt)
-        terms[1::2] *= -1.0
-        return float(terms.sum())
-    bits = policy.prec_bits or int(max(logmax, 0.0) / _LN2) + 64
-    with mp.workprec(bits):
-        qm = mp.mpf(q)
-        total = mp.mpf(0)
-        maxterm = mp.mpf(0)
-        for k in range(1, kmax + 1):
-            if kind == "pmf":
-                lb = mp.loggamma(n) - mp.loggamma(k) - mp.loggamma(n - k + 1)
-            else:
-                lb = mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
-            lt1 = (
-                lb
-                + mp.loggamma(k / qm + 1)
-                - mp.loggamma(k / qm - k + 2)
-                + k * mp.log(qm)
-                - mp.loggamma(k + 1)
-            )
-            term = mp.e ** lt1
-            maxterm = max(maxterm, term)
-            total += term if k % 2 == 1 else -term
-        if maxterm > abs(total) * mp.mpf(2) ** (bits - policy.guard_drop_bits):
-            raise CancellationError("size series cancellation guard violated")
-        return float(total)
+    bind = _size_log_term(float(q), N, s)
+    logmax = float(bind(_Float64)(np.arange(1, N + 1, dtype=np.float64)).max())
+    return _alternating_sum(bind, N, logmax, prec_bits)
 
 
 def size_pmf_oracle(d: OffspringDistribution, n_max: int, exact: bool = True):
@@ -458,13 +485,7 @@ def size_pmf_oracle(d: OffspringDistribution, n_max: int, exact: bool = True):
     if exact and n_max > 64:
         raise ValueError("exact mode is limited to n_max <= 64")
     if exact:
-        if isinstance(d, IGW):
-            qf = Fraction(d.q).limit_denominator(10 ** 12)
-            if abs(float(qf) - d.q) > 1e-15:
-                qf = Fraction(d.q)
-            qs = [d.pmf_fraction(k, qf) for k in range(n_max + 1)]
-        else:
-            qs = [Fraction(d.pmf(k)) for k in range(n_max + 1)]
+        qs = [d.pmf_fraction(k) for k in range(n_max + 1)]
         zero, one = Fraction(0), Fraction(1)
     else:
         qs = [d.pmf(k) for k in range(n_max + 1)]
@@ -493,8 +514,7 @@ def size_pmf_oracle(d: OffspringDistribution, n_max: int, exact: bool = True):
 
 def size_tail(q: float, x: float) -> float:
     """Asymptotic tail 1 - A(x) ~ x^-q / (q^q Gamma(1-q)); not exact."""
-    if not 0.5 <= q < 1.0:
-        raise ValueError("q must lie in [1/2, 1)")
+    _check_q(q)
     if x < 1:
         raise ValueError("x must be >= 1")
     return x ** (-q) / (q ** q * math.gamma(1.0 - q))
@@ -563,65 +583,12 @@ class PushforwardLaw:
         return float(self.pmf[0])
 
 
-def _log_q_deriv(d: OffspringDistribution, z: float, m: int) -> float:
-    """log Q^(m)(z), overflow-safe per family."""
-    if isinstance(d, IGW):
-        a = 1.0 / d.q
-        acc = math.log(d.q)
-        for j in range(m):
-            acc += math.log(abs(a - j))
-        return acc + (a - m) * math.log1p(-z)
-    from .offspring import FiniteTable, GeometricCritical, ZipfCritical
-
-    if isinstance(d, GeometricCritical):
-        return (
-            math.log(d.c)
-            + math.lgamma(m + 1)
-            + m * math.log(d.r)
-            - (m + 1) * math.log1p(-d.r * z)
-        )
-    if isinstance(d, ZipfCritical):
-        # positive-term direct sum in log space: summand peaks near
-        # k* = (m - alpha - 1)/(-log z); cover the peak plus decay room
-        if z <= 0.0:
-            return math.log(d.pmf(m)) + math.lgamma(m + 1) if d.pmf(m) else -math.inf
-        if z >= 1.0:
-            raise ValueError("Q derivatives of the Zipf law diverge at z = 1")
-        delta = -math.log(z)
-        kcap = int((m + 60.0) / delta) + 20 * m + 2000
-        k = np.arange(max(m, 2), kcap, dtype=np.float64)
-        lt = (
-            gammaln(k + 1.0)
-            - gammaln(k - m + 1.0)
-            - (d.alpha + 1.0) * np.log(k)
-            + (k - m) * math.log(z)
-        )
-        peak = float(lt.max())
-        return math.log(d.c) + peak + math.log(np.exp(lt - peak).sum())
-    if isinstance(d, FiniteTable):
-        if m > d.kmax:
-            return -math.inf
-        if z == 0.0:
-            return math.log(d.pmf(m)) + math.lgamma(m + 1) if d.pmf(m) > 0 else -math.inf
-        k = np.arange(m, d.kmax + 1, dtype=np.float64)
-        qk = d.probs[m:]
-        good = qk > 0
-        if not np.any(good):
-            return -math.inf
-        lt = (
-            gammaln(k[good] + 1.0)
-            - gammaln(k[good] - m + 1.0)
-            + np.log(qk[good])
-            + (k[good] - m) * math.log(z)
-        )
-        return float(logsumexp(lt))
-    val = d.Q_deriv(z, m)
-    return math.log(val) if val > 0 else -math.inf
+# the pruned and colored offspring laws are tabulated on m = 0.._MMAX; the
+# rest of their mass is the analytic tail
+_MMAX = 64
 
 
-def pushforward_offspring(
-    d: OffspringDistribution, p: float, mmax: int = 64, tol: float = 1e-10
-) -> PushforwardLaw:
+def pushforward_offspring(d: OffspringDistribution, p: float) -> PushforwardLaw:
     """Offspring law {g_m} of a pruned tree, survival probability p.
 
     g_0 = (Q(1-p) - (1-p)) / (p (1 - Q'(1-p)));
@@ -632,17 +599,17 @@ def pushforward_offspring(
     if d.classify() == "supercritical":
         raise ValueError("pushforward defined for critical/subcritical laws")
     if p == 1.0:
-        pmf = d.pmf_array(mmax)
+        pmf = d.pmf_array(_MMAX)
         return PushforwardLaw(1.0, pmf, float(max(0.0, 1 - pmf.sum())), 1.0, 0.0)
     z = 1.0 - p
     omq = d.one_minus_qprime(z)
     log_denom = math.log(omq)
-    g = np.zeros(mmax + 1)
+    g = np.zeros(_MMAX + 1)
     g[0] = d.assumption_ratio(z)  # == q_minus_z(z)/(p * omq)
     lp = math.log(p)
     taylor = 0.0  # sum_{2<=m<=M} p^m Q^(m)(1-p)/m!
-    for m in range(2, mmax + 1):
-        lq = _log_q_deriv(d, z, m)
+    for m in range(2, _MMAX + 1):
+        lq = d.log_Q_deriv(z, m)
         if lq == -math.inf:
             continue
         g[m] = math.exp(lq + (m - 1) * lp - math.lgamma(m + 1) - log_denom)
@@ -652,7 +619,7 @@ def pushforward_offspring(
     rest = (p - d.q_minus_z(z)) - p * (1.0 - omq) - taylor
     tail = max(rest, 0.0) / (p * omq)
     defect = abs(g.sum() + tail - 1.0)
-    if defect > max(tol, 1e-8):
+    if defect > 1e-8:
         raise ArithmeticError(f"pushforward normalization defect {defect:g}")
     return PushforwardLaw(p, g, tail, omq, defect)
 
@@ -686,8 +653,12 @@ def pushforward_Q_prime(d: OffspringDistribution, p: float, z: float) -> float:
 # --------------------------------------------------------------------- #
 
 
-def coloring_survival(d: OffspringDistribution, p: float, tol: float = 1e-12,
-                      max_iter: int = 100_000) -> float:
+# the survival fixed point stops when an iteration moves f by at most this
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 100_000
+
+
+def coloring_survival(d: OffspringDistribution, p: float) -> float:
     """g_p = P(colored tree nonempty), each leaf kept with probability 1-p.
 
     The no-kept-leaf probability f = E[p^(#leaves)] satisfies the fixed
@@ -704,9 +675,9 @@ def coloring_survival(d: OffspringDistribution, p: float, tol: float = 1e-12,
         return 1.0
     q0 = d.pmf(0)
     f = p
-    for _ in range(max_iter):
+    for _ in range(_FIXED_POINT_MAX_ITER):
         fn = d.Q(f) - q0 * (1.0 - p)
-        if abs(fn - f) <= tol:
+        if abs(fn - f) <= _FIXED_POINT_TOL:
             return 1.0 - fn
         f = fn
     raise ArithmeticError("coloring fixed point did not converge")
@@ -731,8 +702,7 @@ def coloring_Q(d: OffspringDistribution, p: float, g_p: float, z: float,
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def coloring_offspring(d: OffspringDistribution, p: float, variant: str = "thinned",
-                       mmax: int = 64):
+def coloring_offspring(d: OffspringDistribution, p: float, variant: str = "thinned"):
     """Offspring pmf implied by each coloring variant (for adjudication).
 
     The thinned variant is exactly the pruning pushforward at survival g_p.
@@ -741,15 +711,15 @@ def coloring_offspring(d: OffspringDistribution, p: float, variant: str = "thinn
     """
     g_p = coloring_survival(d, p)
     if variant == "thinned":
-        law = pushforward_offspring(d, g_p, mmax=mmax)
+        law = pushforward_offspring(d, g_p)
         return g_p, law.pmf, law.tail_mass
     if variant != "as-printed":
         raise ValueError(f"unknown variant {variant!r}")
     omq = d.one_minus_qprime(1.0 - g_p)
-    pmf = np.zeros(mmax + 1)
+    pmf = np.zeros(_MMAX + 1)
     pmf[0] = (d.Q(1.0 - p) - (1.0 - g_p)) / (g_p * omq)
-    for m in range(2, mmax + 1):
-        lq = _log_q_deriv(d, 1.0 - p, m)
+    for m in range(2, _MMAX + 1):
+        lq = d.log_Q_deriv(1.0 - p, m)
         if lq == -math.inf:
             continue
         pmf[m] = math.exp(lq + (m - 1) * math.log(g_p) - math.lgamma(m + 1) - math.log(omq))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -99,7 +100,8 @@ def main(argv=None) -> int:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--x-grid", default="0:10:0.1", help="lo:hi:step")
-    p.add_argument("--prec-bits", type=int, default=0)
+    p.add_argument("--prec-bits", type=int, default=0,
+                   help="series precision for length/size: 0 = automatic, else >= 53")
     p.add_argument("--out", help="CSV path (default stdout)")
 
     p = sub.add_parser("verify", help="distribution-law Monte Carlo checks")
@@ -214,18 +216,29 @@ def _dispatch(args) -> int:
         return 0
 
     if verb == "dist":
-        lo, hi, step = (float(s) for s in args.x_grid.split(":"))
+        try:
+            lo, hi, step = map(float, args.x_grid.split(":"))
+        except ValueError:
+            lo = hi = step = float("nan")
+        if not (math.isfinite(lo + hi + step) and lo <= hi and step > 0):
+            print(f"igwlab dist: --x-grid {args.x_grid!r} is not lo:hi:step "
+                  "with lo <= hi and step > 0", file=sys.stderr)
+            return 2
         xs = np.arange(lo, hi + step / 2, step)
-        pol = ana.SeriesEvalPolicy(prec_bits=args.prec_bits)
         rows = []
-        for x in xs:
-            if args.law == "height":
-                rows.append((x, ana.height_cdf(args.q, args.lam, x)))
-            elif args.law == "length":
-                rows.append((x, ana.length_cdf(args.q, args.lam, x, pol)))
-            else:
-                n = max(int(x), 1)
-                rows.append((n, float(ana.size_cdf(args.q, n, pol))))
+        try:
+            for x in xs.tolist():
+                if args.law == "height":
+                    rows.append((x, ana.height_cdf(args.q, args.lam, x)))
+                elif args.law == "length":
+                    rows.append((x, ana.length_cdf(args.q, args.lam, x,
+                                                   prec_bits=args.prec_bits)))
+                else:
+                    n = max(int(x), 1)
+                    rows.append((n, float(ana.size_cdf(args.q, n, prec_bits=args.prec_bits))))
+        except (ValueError, ana.CancellationError) as e:
+            print(f"igwlab dist {args.law}: {e}", file=sys.stderr)
+            return 2
         lines = ["x,cdf"] + [f"{x!r},{v!r}" for x, v in rows]
         if args.out:
             with open(args.out, "w") as fh:

@@ -128,8 +128,8 @@ def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
     """KS of sampled total lengths against the series CDF.
 
     The comparison range is the smaller of the censoring-aware limit and
-    the float64 series-policy limit (beyond it the grid evaluator would
-    need extended precision per point).
+    :func:`analytics.length_cdf_grid_limit` (beyond it the grid evaluator
+    would need extended precision per point).
     """
     d = _require_igw(spec)
     q = d.q
@@ -137,8 +137,7 @@ def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
     if st.censor_rate > spec.max_censor_rate:
         raise RuntimeError(f"censor rate {st.censor_rate:g} above bound")
     ls = np.sort(st.lengths[~st.censored])
-    x_pol = _length_policy_limit(q, spec.lam)
-    hi = x_pol
+    hi = ana.length_cdf_grid_limit(q, spec.lam)
     if st.censor_rate > 0:
         tail = 10.0 * st.censor_rate
         hi = min(hi, (1.0 / (tail * (spec.lam * q) ** q * math.gamma(1 - q))) ** (1.0 / q))
@@ -151,27 +150,6 @@ def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
         comparison_range=(0.0, hi),
         details={"censor_rate": st.censor_rate, "range_coverage": cov, "seed": spec.seed},
     )
-
-
-def _length_policy_limit(q: float, lam: float) -> float:
-    """Largest x the float64 series path handles, by bisection on the scan."""
-    pol = ana.SeriesEvalPolicy()
-    cap = math.log(pol.float64_max_term)
-
-    def logmax(x):
-        _, _, lm = ana._series_log_terms(q, math.log(lam * q * x), "cdf", pol.max_terms)
-        return lm
-
-    lo, hi = 1.0, 2.0
-    while logmax(hi) < cap:
-        lo, hi = hi, hi * 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if logmax(mid) < cap:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def run_verify_size(spec: ExperimentSpec) -> gof.GofReport:

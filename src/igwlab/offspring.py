@@ -36,6 +36,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "OffspringDistribution",
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 _CRIT_TOL = 1e-9
+# g_series stops at a relative truncation bound of this, or after this many terms
+_G_SERIES_TOL = 1e-14
+_G_SERIES_MAX_TERMS = 100_000
 
 
 # --------------------------------------------------------------------- #
@@ -78,6 +82,10 @@ class OffspringDistribution:
     def pmf_array(self, kmax: int) -> np.ndarray:
         """pmf on 0..kmax inclusive."""
         return np.array([self.pmf(k) for k in range(kmax + 1)])
+
+    def pmf_fraction(self, k: int) -> Fraction:
+        """The pmf as an exact rational (oracle support)."""
+        return Fraction(self.pmf(k))
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -106,8 +114,8 @@ class OffspringDistribution:
     def Q_prime(self, z: float) -> float:
         raise NotImplementedError
 
-    def Q_deriv(self, z: float, m: int) -> float:
-        """m-th derivative of Q at z, m >= 2."""
+    def log_Q_deriv(self, z: float, m: int) -> float:
+        """log Q^(m)(z) for m >= 2, overflow-safe; -inf where it vanishes."""
         raise NotImplementedError
 
     def q_minus_z(self, z: float) -> float:
@@ -140,7 +148,7 @@ class OffspringDistribution:
         """Power-series coefficient of g: E[(X - m - 1)_+], via tail sums."""
         return self.tail_mean(m + 2) - (m + 1) * self.tail_prob(m + 2)
 
-    def g_series(self, x: float, tol: float = 1e-14, max_terms: int = 100000) -> float:
+    def g_series(self, x: float) -> float:
         """g(x) summed from its series; independent of the Q route.
 
         Coefficients are nonincreasing toward 0, so the geometric bound
@@ -150,13 +158,13 @@ class OffspringDistribution:
             raise ValueError("series route needs 0 <= x < 1")
         total = 0.0
         xm = 1.0
-        for m in range(max_terms):
+        for m in range(_G_SERIES_MAX_TERMS):
             c = self.g_series_coeff(m)
             total += c * xm
-            if c * xm <= tol * max(total, 1e-300) * (1.0 - x):
+            if c * xm <= _G_SERIES_TOL * max(total, 1e-300) * (1.0 - x):
                 return total
             xm *= x
-        raise ArithmeticError("g series did not converge within max_terms")
+        raise ArithmeticError(f"g series did not converge within {_G_SERIES_MAX_TERMS} terms")
 
     def assumption_ratio(self, x: float) -> float:
         """(Q(x) - x) / ((1-x)(1 - Q'(x))) -- the regularity-limit probe."""
@@ -261,8 +269,11 @@ class IGW(OffspringDistribution):
             val = (1 - q) * mp.gamma(k - 1 / q) / (q * mp.gamma(2 - 1 / q) * mp.factorial(k))
         return float(val)
 
-    def pmf_fraction(self, k: int, q: Fraction) -> Fraction:
-        """Exact pmf for rational q (oracle support)."""
+    def pmf_fraction(self, k: int) -> Fraction:
+        """Exact pmf at the simplest rational within 1e-15 of q, else at q itself."""
+        q = Fraction(self.q).limit_denominator(10 ** 12)
+        if abs(float(q) - self.q) > 1e-15:
+            q = Fraction(self.q)
         if k == 0:
             return q
         if k == 1:
@@ -286,14 +297,14 @@ class IGW(OffspringDistribution):
     def Q_prime(self, z: float) -> float:
         return 1.0 - (1.0 - z) ** (self.inv_q - 1.0)
 
-    def Q_deriv(self, z: float, m: int) -> float:
-        if m < 2:
-            raise ValueError("use Q / Q_prime for m < 2")
+    def log_Q_deriv(self, z: float, m: int) -> float:
         a = self.inv_q
-        coef = self.q
+        acc = math.log(self.q)
         for j in range(m):
-            coef *= a - j
-        return (-1.0) ** m * coef * (1.0 - z) ** (a - m)
+            if a == j:  # q = 1/2: Q is quadratic
+                return -math.inf
+            acc += math.log(abs(a - j))
+        return acc + (a - m) * math.log1p(-z)
 
     def q_minus_z(self, z: float) -> float:
         return self.q * (1.0 - z) ** self.inv_q
@@ -390,14 +401,23 @@ class FiniteTable(OffspringDistribution):
         d = self.probs[1:] * self._k[1:]
         return float(np.polyval(d[::-1], z))
 
-    def Q_deriv(self, z: float, m: int) -> float:
+    def log_Q_deriv(self, z: float, m: int) -> float:
         if m > self.kmax:
-            return 0.0
-        k = np.arange(m, self.kmax + 1)
-        falling = np.ones(len(k))
-        for j in range(m):
-            falling *= k - j
-        return float(np.sum(self.probs[m:] * falling * z ** (k - m)))
+            return -math.inf
+        if z == 0.0:
+            return math.log(self.pmf(m)) + math.lgamma(m + 1) if self.pmf(m) > 0 else -math.inf
+        k = np.arange(m, self.kmax + 1, dtype=np.float64)
+        qk = self.probs[m:]
+        good = qk > 0
+        if not np.any(good):
+            return -math.inf
+        lt = (
+            gammaln(k[good] + 1.0)
+            - gammaln(k[good] - m + 1.0)
+            + np.log(qk[good])
+            + (k[good] - m) * math.log(z)
+        )
+        return float(logsumexp(lt))
 
     def q_minus_z(self, z: float) -> float:
         # Q(z) - z = (1-z)[(1 - mean) + (1-z) g(z)] for any law with q1 = 0
@@ -423,8 +443,8 @@ class FiniteTable(OffspringDistribution):
             return 0.0
         return float(np.dot(self._k[j:], self.probs[j:]))
 
-    def g_series(self, x: float, tol: float = 1e-14, max_terms: int = 0) -> float:
-        # finite polynomial; ignore tolerance arguments
+    def g_series(self, x: float) -> float:
+        # finite polynomial: no truncation
         coeffs = [self.g_series_coeff(m) for m in range(max(self.kmax - 1, 1))]
         return float(np.polyval(coeffs[::-1], x))
 
@@ -508,20 +528,24 @@ class ZipfCritical(OffspringDistribution):
             val = self._c_mp * (self._li(self.alpha, z) - z) / z
         return float(val)
 
-    def Q_deriv(self, z: float, m: int) -> float:
-        if m < 2:
-            raise ValueError("use Q / Q_prime for m < 2")
-        if z == 0.0:
-            return self.pmf(m) * math.factorial(m)
-        # (k)_m = sum_j s(m, j) k^j  with signed Stirling numbers s
-        s = _stirling_first(m)
-        with mp.workdps(self.dps):
-            acc = mp.mpf(0)
-            for j in range(m + 1):
-                if s[j]:
-                    acc += s[j] * self._li(self.alpha + 1 - j, z)
-            val = self._c_mp * acc / mp.mpf(z) ** m
-        return float(val)
+    def log_Q_deriv(self, z: float, m: int) -> float:
+        # positive-term direct sum in log space: summand peaks near
+        # k* = (m - alpha - 1)/(-log z); cover the peak plus decay room
+        if z <= 0.0:
+            return math.log(self.pmf(m)) + math.lgamma(m + 1) if self.pmf(m) else -math.inf
+        if z >= 1.0:
+            raise ValueError("Q derivatives of the Zipf law diverge at z = 1")
+        delta = -math.log(z)
+        kcap = int((m + 60.0) / delta) + 20 * m + 2000
+        k = np.arange(max(m, 2), kcap, dtype=np.float64)
+        lt = (
+            gammaln(k + 1.0)
+            - gammaln(k - m + 1.0)
+            - (self.alpha + 1.0) * np.log(k)
+            + (k - m) * math.log(z)
+        )
+        peak = float(lt.max())
+        return math.log(self.c) + peak + math.log(np.exp(lt - peak).sum())
 
     def q_minus_z(self, z: float) -> float:
         if z == 1.0:
@@ -618,11 +642,13 @@ class GeometricCritical(OffspringDistribution):
         rz = self.r * z
         return self.c * self.r * self.r * z * (2.0 - rz) / (1.0 - rz) ** 2
 
-    def Q_deriv(self, z: float, m: int) -> float:
-        if m < 2:
-            raise ValueError("use Q / Q_prime for m < 2")
-        rz = self.r * z
-        return self.c * math.factorial(m) * self.r ** m / (1.0 - rz) ** (m + 1)
+    def log_Q_deriv(self, z: float, m: int) -> float:
+        return (
+            math.log(self.c)
+            + math.lgamma(m + 1)
+            + m * math.log(self.r)
+            - (m + 1) * math.log1p(-self.r * z)
+        )
 
     def g_value(self, x: float) -> float:
         return self.c * self.r * self.r / ((1.0 - self.r) ** 2 * (1.0 - self.r * x))
@@ -814,15 +840,3 @@ def regularity_profile(d: OffspringDistribution) -> RegularityProfile:
         Lambda=value,
         Lambda_probes=probes,
     )
-
-
-def _stirling_first(m: int) -> list:
-    """Signed Stirling numbers s(m, j): (k)_m = sum_j s(m,j) k^j."""
-    row = [1]  # m = 0
-    for i in range(m):
-        nxt = [0] * (len(row) + 1)
-        for j, v in enumerate(row):
-            nxt[j + 1] += v
-            nxt[j] -= i * v
-        row = nxt
-    return row

@@ -512,28 +512,17 @@ class NonHereditaryError(ValueError):
         self.vertex = vertex
 
 
-def hereditary_reduce(t: MetricTree, keep_pred: Callable[[MetricTree], bool] | None = None,
-                      *, phi: PhiFunctional | str | None = None,
-                      threshold: float | None = None,
+def hereditary_reduce(t: MetricTree, keep_pred: Callable[[MetricTree], bool], *,
                       bisect_tol: float = 1e-12) -> PrunedResult:
     """Keep the root and the points whose descendant tree satisfies the
     predicate; series-reduce.
 
-    The predicate comes in two forms.  ``phi=..., threshold=...`` names the
-    hereditary set {phi >= t}; this routes through :func:`gdp_prune` and is
-    bit-for-bit identical to it (the two operators are the same map).  A
-    bare callable is handled generically: the caller asserts it is
-    hereditary (true on a subtree implies true on every enclosing subtree);
-    violations detectable at vertex resolution raise
+    The test oracle of the forest engine: the caller asserts the predicate
+    is hereditary (true on a subtree implies true on every enclosing
+    subtree); violations detectable at vertex resolution raise
     :class:`NonHereditaryError`, and edge interiors are resolved by
-    bisection to ``bisect_tol``.
+    bisection to ``bisect_tol``.  A set {phi >= t} is :func:`gdp_prune`'s.
     """
-    if phi is not None:
-        if threshold is None:
-            raise ValueError("phi form needs threshold")
-        return gdp_prune(t, phi, threshold)
-    if keep_pred is None:
-        raise ValueError("provide keep_pred or (phi, threshold)")
     if t.is_empty:
         return PrunedResult(t, False, keep=np.ones(1, dtype=bool))
     n = t.n_vertices

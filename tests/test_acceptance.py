@@ -61,7 +61,7 @@ def _height_ks(st, q):
 
 def _length_ks(st, q):
     ls = np.sort(st.lengths[~st.censored])
-    hi = xp._length_policy_limit(q, 1.0)
+    hi = ana.length_cdf_grid_limit(q, 1.0)
     if st.censor_rate > 0:
         tail = 10.0 * st.censor_rate
         hi = min(hi, (1.0 / (tail * q ** q * math.gamma(1 - q))) ** (1.0 / q))

@@ -1,5 +1,5 @@
 """Closed-form laws: worked values, dual-route identities, exact rational
-size law vs. the convolution oracle, series policy behavior, pushforward
+size law vs. the convolution oracle, series precision behavior, pushforward
 algebra, coloring fixed point, and the attractor limit."""
 
 import math
@@ -96,21 +96,24 @@ class TestLength:
 
     def test_extended_precision_path_agrees(self):
         """Force mpmath summation; must agree with the float64 path."""
-        pol = A.SeriesEvalPolicy(prec_bits=150)
         for x in (0.5, 2.0):
-            assert A.length_cdf(0.5, 1.0, x, pol) == pytest.approx(
+            assert A.length_cdf(0.5, 1.0, x, prec_bits=150) == pytest.approx(
                 A.length_cdf(0.5, 1.0, x), abs=1e-12)
 
     def test_cancellation_guard_raises(self):
-        pol = A.SeriesEvalPolicy(prec_bits=53)
         with pytest.raises(A.CancellationError):
-            A.length_cdf(0.5, 1.0, 120.0, pol)
+            A.length_cdf(0.5, 1.0, 120.0, prec_bits=53)
         with pytest.raises(A.CancellationError):
             A.length_cdf_grid(0.5, 1.0, np.array([200.0]))
 
     def test_policy_validation(self):
+        for f in (A.length_cdf, A.length_pdf):
+            with pytest.raises(ValueError):
+                f(0.5, 1.0, 2.0, prec_bits=32)
         with pytest.raises(ValueError):
-            A.SeriesEvalPolicy(prec_bits=32)
+            A.size_cdf(0.5, 30, prec_bits=32)
+        with pytest.raises(ValueError):
+            A.bessel_i0(2.0, prec_bits=52)
 
     def test_tail_ratio_binary(self):
         # 1 - L(x) ~ sqrt(2/(lam pi)) x^(-1/2) at q = 1/2
@@ -204,6 +207,14 @@ class TestPushforward:
             law = A.pushforward_offspring(d, p)
             assert np.max(np.abs(law.pmf - ref)) < 1e-10
             assert law.rate_multiplier == pytest.approx(p ** ((1 - 0.75) / 0.75), rel=1e-12)
+
+    def test_power_family_at_half_is_binary(self):
+        """Q of igw:0.5 is quadratic, so its third and higher derivatives
+        vanish; their logs used to raise a math domain error."""
+        for p in (1e-4, 0.02, 0.5):
+            a = A.pushforward_offspring(O.igw(0.5), p)
+            b = A.pushforward_offspring(O.critical_binary(), p)
+            assert np.array_equal(a.pmf, b.pmf) and a.tail_mass == b.tail_mass
 
     def test_p_one_is_identity(self):
         d = O.geometric_critical()

@@ -255,6 +255,27 @@ class TestCLI:
                          "--x-grid", "0:2:1"]) == 0
         out = capsys.readouterr().out
         assert "x,cdf" in out and "0.5" in out
+        # every row is two plain numbers (numpy 2 used to print np.float64(0.0))
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert rows == [(0.0, 0.0), (1.0, pytest.approx(1 / 3)), (2.0, 0.5)]
+
+    @pytest.mark.parametrize("argv", [
+        ["length", "--q", "0.5", "--x-grid", "1:0:0.1"],
+        ["length", "--q", "0.5", "--x-grid", "0:1:-0.1"],
+        ["length", "--q", "0.5", "--x-grid", "0:1:0"],
+        ["length", "--q", "0.5", "--x-grid", "0:1"],
+        ["length", "--q", "0.5", "--x-grid", "a:1:0.1"],
+        ["length", "--q", "0.5", "--prec-bits", "32"],
+        ["height", "--q", "0.3"],
+        ["length", "--q", "0.3"],
+        ["size", "--q", "0.3", "--x-grid", "1:3:1"],
+    ])
+    def test_dist_rejects_bad_arguments(self, argv, capsys):
+        """These printed only a header, printed values of a law outside the
+        family, or died with a traceback."""
+        assert cli_main(["dist", *argv]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("igwlab dist")
 
     def test_verify_verb_exit_code(self):
         assert cli_main(["verify", "height", "--dist", "igw:0.5", "--n", "8000",

@@ -125,10 +125,22 @@ class TestGeometric:
         for z in (0.0, 0.3, 0.9, 1.0):
             series = float(np.sum(arr * z ** np.arange(201)))
             assert d.Q(z) == pytest.approx(series, abs=1e-12)
-        # m-th derivative against numeric differentiation of Q
-        h = 1e-5
-        num = (d.Q(0.5 + h) - 2 * d.Q(0.5) + d.Q(0.5 - h)) / h ** 2
-        assert d.Q_deriv(0.5, 2) == pytest.approx(num, rel=1e-5)
+
+
+class TestLogQDeriv:
+    @pytest.mark.parametrize("spec", ["igw:0.5", "igw:0.66666666666666663", "zipf:1.5",
+                                      "geom:0.5", "table:[0.6,0,0.3,0.1]"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_numerical_derivative_of_Q(self, spec, m):
+        """exp(log Q^(m)(z)) against central differences of Q.  The third
+        derivative vanishes at q = 1/2, where the log is -inf."""
+        d = O.from_spec(spec)
+        z, h = 0.5, 1e-3
+        if m == 2:
+            num = (d.Q(z + h) - 2 * d.Q(z) + d.Q(z - h)) / h ** 2
+        else:
+            num = (d.Q(z + 2 * h) - 2 * d.Q(z + h) + 2 * d.Q(z - h) - d.Q(z - 2 * h)) / (2 * h ** 3)
+        assert math.exp(d.log_Q_deriv(z, m)) == pytest.approx(num, rel=1e-4, abs=1e-6)
 
 
 class TestGDualRoute:

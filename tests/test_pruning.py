@@ -121,14 +121,6 @@ class TestMonotonicity:
 
 
 class TestHereditary:
-    def test_phi_form_is_bit_for_bit_gdp(self, forest):
-        for t in forest[:10]:
-            thr = 0.5 * P.survival_statistic(t, "height")
-            a = P.hereditary_reduce(t, phi="height", threshold=thr)
-            b = P.gdp_prune(t, "height", thr)
-            assert np.array_equal(a.tree.parent, b.tree.parent)
-            assert np.array_equal(a.tree.length, b.tree.length)
-
     def test_callable_matches_gdp_within_bisection(self, cherry):
         a = P.hereditary_reduce(cherry, lambda s: s.tree_height() >= 2.0)
         b = P.gdp_prune(cherry, "height", 2.0)
