@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Verbs: sample, prune, color, dist, verify, invariance, falsify, attractor,
-semigroup, thinning, report.  Distributions are addressed by spec strings
-(igw:0.5, zipf:1.5, geom:0.5, binary, table:<path>).  Exit code 0 means
-every verdict in the run passed.
+semigroup, thinning, coloring, report.  Distributions are addressed by spec
+strings (igw:0.5, zipf:1.5, geom:0.5, binary, table:<path>).  Exit code 0
+means every verdict in the run passed.
 
 A config file (flat ``key = value`` lines, # comments) can preload any
 experiment option; command-line flags win.

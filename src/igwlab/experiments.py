@@ -48,7 +48,6 @@ __all__ = [
     "run_coloring",
     "run_semigroup",
     "majority",
-    "EXPERIMENTS",
     "threshold_for_survival",
     "LENGTH_SEMIGROUP_COUNTEREXAMPLE",
 ]
@@ -196,6 +195,16 @@ def _as_power_family_q(d: OffspringDistribution) -> float | None:
     return None
 
 
+def _phi_lam(spec: ExperimentSpec) -> float | None:
+    """The rate to sample at when only spec.phi reads lengths: an additive
+    functional needs them, a constant one prunes shapes alike."""
+    return spec.lam if pr.phi_by_name(spec.phi).law == "additive" else None
+
+
+def _threshold(spec: ExperimentSpec) -> float:
+    return spec.threshold if spec.threshold is not None else threshold_for_survival(spec)
+
+
 def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
     """A threshold making P(pruned tree nonempty) hit survival_target.
 
@@ -220,10 +229,9 @@ def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
-    lam = spec.lam if spec.phi in ("height", "length") else None
     stats = []
     for forest, cen in smp.iter_forest(d, spec.seed + 1, pilot_n, budget=spec.budget,
-                                       lam=lam, chunk=spec.chunk):
+                                       lam=_phi_lam(spec), chunk=spec.chunk):
         stats.append(pr.survival_statistics(forest, spec.phi)[~cen])
     stats = np.sort(np.concatenate(stats))
     t = float(stats[int((1.0 - tgt) * len(stats))])
@@ -233,18 +241,24 @@ def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
 
 
 # --------------------------------------------------------------------- #
-# Pruning invariance and its falsification                                #
+# One chunk loop for the pruning and coloring verdicts                    #
 # --------------------------------------------------------------------- #
 
 
+_SMALL = 5  # reduced trees of at most this many edges are tallied by shape
+
+
 @dataclass
-class PruneSummary:
-    """Accumulated over pruned survivors of a forest."""
+class Tally:
+    """Accumulated over the reduced trees of a sampled forest."""
 
     n_trees: int = 0
     n_censored: int = 0
     n_survived: int = 0
     branching: np.ndarray = field(default_factory=lambda: np.zeros(256, dtype=np.int64))
+    # survivors of at most _SMALL reduced edges, by (edges, first-branch degree)
+    small: np.ndarray = field(
+        default_factory=lambda: np.zeros((_SMALL + 1, _SMALL + 1), dtype=np.int64))
     edge_lengths: list = field(default_factory=list)
     thinning: dict = field(default_factory=dict)   # (k, m) -> count, m >= 1 exact cells
 
@@ -253,26 +267,48 @@ class PruneSummary:
         return self.n_survived / max(self.n_trees - self.n_censored, 1)
 
 
-def prune_and_summarize(spec: ExperimentSpec, threshold: float,
-                        keep_lengths: bool = True) -> PruneSummary:
-    d = spec.distribution()
-    s = PruneSummary()
-    for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                       lam=spec.lam, chunk=spec.chunk):
+def _tally(spec: ExperimentSpec, reduce, lam: float | None,
+           pool_lengths: bool = False) -> Tally:
+    """One pass over the spec's forest, reducing chunk by chunk.
+
+    ``reduce(forest, base)`` reduces a chunk whose first replicate is
+    ``base``; the tally reads only the reduction's columns.  Lengths are
+    sampled at ``lam`` (None: shapes only) and pooled on request.
+    """
+    s = Tally()
+    base = 0
+    for forest, cen in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
+                                       budget=spec.budget, lam=lam, chunk=spec.chunk):
         s.n_trees += len(forest)
         s.n_censored += int(cen.sum())
-        if not forest.R:
-            continue
-        pf = pr.PrunedForest(forest, spec.phi, threshold)
-        surv = pf.survived
-        s.n_survived += int(surv.sum())
-        for k, m in zip(pf.k1[surv].tolist(), pf.m1[surv].tolist()):
-            s.thinning[(k, m)] = s.thinning.get((k, m), 0) + 1
-        s.branching += np.bincount(
-            np.minimum(pf.first_branch[surv], 255), minlength=256)
-        if keep_lengths:
-            s.edge_lengths.append(pf.pooled_lengths())
+        if forest.R:
+            red = reduce(forest, base)
+            surv = red.survived
+            s.n_survived += int(surv.sum())
+            fb = red.first_branch[surv]
+            s.branching += np.bincount(np.minimum(fb, 255), minlength=256)
+            edges = red.red_edges[surv]
+            small = edges <= _SMALL
+            s.small += np.bincount((_SMALL + 1) * edges[small] + fb[small],
+                                   minlength=s.small.size).reshape(s.small.shape)
+            if isinstance(red, pr.PrunedForest):
+                km, cnt = np.unique(np.stack((red.k1[surv], red.m1[surv]), axis=1),
+                                    axis=0, return_counts=True)
+                for (k, m), c in zip(km.tolist(), cnt.tolist()):
+                    s.thinning[(k, m)] = s.thinning.get((k, m), 0) + c
+            if pool_lengths:
+                s.edge_lengths.append(red.pooled_lengths())
+        base += len(forest)
     return s
+
+
+def _pruner(spec: ExperimentSpec, threshold: float):
+    return lambda forest, base: pr.PrunedForest(forest, spec.phi, threshold)
+
+
+# --------------------------------------------------------------------- #
+# Pruning invariance and its falsification                                #
+# --------------------------------------------------------------------- #
 
 
 def run_invariance(spec: ExperimentSpec) -> dict:
@@ -282,8 +318,8 @@ def run_invariance(spec: ExperimentSpec) -> dict:
     """
     d = _require_igw(spec)
     q = d.q
-    t = spec.threshold if spec.threshold is not None else threshold_for_survival(spec)
-    s = prune_and_summarize(spec, t)
+    t = _threshold(spec)
+    s = _tally(spec, _pruner(spec, t), spec.lam, pool_lengths=True)
     expected = d.pmf_array(255)
     stat, dof = gof.chi_square_pmf(s.branching, expected)
     thr = gof.chi_square_threshold(dof, spec.alpha)
@@ -323,8 +359,8 @@ def run_uniqueness_falsification(spec: ExperimentSpec) -> gof.GofReport:
         raise ValueError("falsification needs a critical non-invariant law")
     if not d.is_critical:
         raise ValueError("falsification is about critical laws")
-    t = spec.threshold if spec.threshold is not None else threshold_for_survival(spec)
-    s = prune_and_summarize(spec, t, keep_lengths=False)
+    t = _threshold(spec)
+    s = _tally(spec, _pruner(spec, t), _phi_lam(spec))
     expected = d.pmf_array(255)
     stat, dof = gof.chi_square_pmf(s.branching, expected)
     thr = gof.chi_square_threshold(dof, spec.alpha)
@@ -345,8 +381,8 @@ def run_thinning(spec: ExperimentSpec) -> gof.GofReport:
     (p_t - 1 + Q(1-p_t))/p_t; the empirical survival rate stands in for p_t.
     """
     d = spec.distribution()
-    t = spec.threshold if spec.threshold is not None else threshold_for_survival(spec)
-    s = prune_and_summarize(spec, t, keep_lengths=False)
+    t = _threshold(spec)
+    s = _tally(spec, _pruner(spec, t), _phi_lam(spec))
     p = s.p_hat
     kmax = max((k for k, m in s.thinning), default=2)
     cells = [(k, m) for k in range(2, kmax + 1) for m in range(1, k + 1)
@@ -410,18 +446,21 @@ def run_attractor_gf(spec: ExperimentSpec) -> dict:
 
 
 def _shape_predictions(q: float) -> dict:
-    """Probabilities of the four smallest planted shapes under the family.
+    """Probabilities of the four smallest planted shapes under the family,
+    keyed by (reduced edges, first-branch degree, canonical code).
 
     single edge, cherry, the 3-star, and the 5-edge caterpillar; the
-    caterpillar's two sibling orderings give the factor 2.
+    caterpillar's two sibling orderings give the factor 2.  Every vertex
+    above the stem of a series-reduced planted tree branches, so one of at
+    most 5 edges is fixed by its edge count and first-branch degree.
     """
     d = IGW(q)
     q0, q2, q3 = d.pmf(0), d.pmf(2), d.pmf(3)
     return {
-        from_newick("(:1);").canonical_code(): q0,
-        from_newick("((:1,:1):1);").canonical_code(): q2 * q0 ** 2,
-        from_newick("((:1,:1,:1):1);").canonical_code(): q3 * q0 ** 3,
-        from_newick("((:1,(:1,:1):1):1);").canonical_code(): 2 * q2 ** 2 * q0 ** 3,
+        (1, 0, "(())"): q0,
+        (3, 2, "((()()))"): q2 * q0 ** 2,
+        (4, 3, "((()()()))"): q3 * q0 ** 3,
+        (5, 2, "((()(()())))"): 2 * q2 ** 2 * q0 ** 3,
     }
 
 
@@ -433,50 +472,31 @@ def run_attractor_mc(spec: ExperimentSpec, iterations: int | None = None) -> dic
     rounds); otherwise a single threshold (spec.threshold or calibrated to
     spec.survival_target).
     """
-    d = spec.distribution()
-    prof = estimate_L(d)
-    qstar = prof.attractor_q
-    preds = _shape_predictions(qstar)
-    small_shapes: list = []
-    n_surv = 0
-    ncen = 0
-    ntot = 0
+    qstar = estimate_L(spec.distribution()).attractor_q
     if spec.phi == "ord" and iterations is not None:
         t0 = float(iterations)  # k rounds of leaf pruning = ord threshold k
         tlabel = f"R^{iterations}"
     else:
-        t0 = spec.threshold if spec.threshold is not None else threshold_for_survival(spec)
+        t0 = _threshold(spec)
         tlabel = f"t={t0:.4g}"
-    # shape comparisons ignore lengths; skip them when the functional does too
-    lam = spec.lam if spec.phi in ("height", "length") else None
-    for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                       lam=lam, chunk=spec.chunk):
-        ncen += int(cen.sum())
-        ntot += len(forest)
-        if not forest.R:
-            continue
-        pf = pr.PrunedForest(forest, spec.phi, t0)
-        n_surv += int(pf.survived.sum())
-        for s in np.flatnonzero(pf.survived & (pf.red_edges <= 64)):
-            small_shapes.append(pf.extract_reduced(int(s)))
+    s = _tally(spec, _pruner(spec, t0), _phi_lam(spec))
+    n_surv = s.n_survived
     if n_surv < 1000:
         return {"passed": False, "starved": True, "survivors": n_surv,
                 "required_n": int(spec.n * 1000 / max(n_surv, 1))}
-    counts = gof.shape_frequency(small_shapes)
-    scale = len(small_shapes) / n_surv  # big shapes never match a prediction
     comp = []
     ok = True
-    for code, pred in preds.items():
-        f = counts.get(code, 0.0) * scale
+    for (edges, branch, code), pred in _shape_predictions(qstar).items():
+        f = int(s.small[edges, branch]) / n_surv
         tol = spec_tolerance_for(pred)
         good = abs(f - pred) <= tol
         ok &= good
-        comp.append({"code": code.decode(), "freq": f, "predicted": pred,
+        comp.append({"code": code, "freq": f, "predicted": pred,
                      "tol": tol, "passed": good})
     return {
         "dist": spec.dist, "phi": spec.phi, "label": tlabel,
-        "attractor_q": qstar, "survivors": n_surv, "n": ntot,
-        "censor_rate": ncen / max(ntot, 1),
+        "attractor_q": qstar, "survivors": n_surv, "n": s.n_trees,
+        "censor_rate": s.n_censored / max(s.n_trees, 1),
         "comparisons": comp, "passed": ok, "starved": False, "seed": spec.seed,
     }
 
@@ -499,24 +519,12 @@ def run_coloring(spec: ExperimentSpec) -> dict:
     g_pred = ana.coloring_survival(d, spec.p)
     _, pmf_thin, _ = ana.coloring_offspring(d, spec.p, "thinned")
     _, pmf_printed, _ = ana.coloring_offspring(d, spec.p, "as-printed")
-    branch = np.zeros(256, dtype=np.int64)
-    n_surv = 0
-    ntot = 0
-    single = 0
-    base = 0
     color_seed = spec.seed ^ 0xC01031
-    for forest, _ in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                     lam=spec.lam, chunk=spec.chunk):
-        ntot += forest.R
-        if forest.R:
-            # live tree r of the chunk draws from stream base + r
-            cf = pr.color_forest(forest.live(), spec.p, color_seed, replicate0=base)
-            n_surv += int(cf.survived.sum())
-            fb = cf.first_branch[cf.survived]
-            branch += np.bincount(np.minimum(fb, 255), minlength=256)
-            single += int((fb == 0).sum())
-        base += len(forest)
-    g_hat = n_surv / max(ntot, 1)
+    # live tree r of the chunk draws from stream base + r; coloring reads no length
+    s = _tally(spec, lambda forest, base: pr.color_forest(
+        forest.live(), spec.p, color_seed, replicate0=base), None)
+    branch, n_surv, ntot = s.branching, s.n_survived, s.n_trees - s.n_censored
+    g_hat = s.p_hat
     surv_rep = gof.GofReport(
         test=f"coloring-survival[{spec.dist},p={spec.p:g}]",
         statistic=abs(g_hat - g_pred), threshold=0.01,
@@ -538,7 +546,7 @@ def run_coloring(spec: ExperimentSpec) -> dict:
                        rejected=stat_p > gof.chi_square_threshold(dof_p, spec.alpha))
     else:
         printed.update(rejected=True, reason="variant does not normalize")
-    g0_hat = single / max(n_surv, 1)
+    g0_hat = int(branch[0]) / max(n_surv, 1)
     return {
         "survival": surv_rep,
         "thinned": thin_rep,
@@ -554,17 +562,22 @@ def run_coloring(spec: ExperimentSpec) -> dict:
 # --------------------------------------------------------------------- #
 
 
-def run_semigroup(spec: ExperimentSpec, n_trees: int = 1000, s: float = 0.3,
-                  t2: float = 0.3, atol: float = 1e-9) -> dict:
-    """Composition law of the pruning operator per functional.
+_SEMIGROUP_STEPS = (0.3, 0.3)  # S_t2 o S_s against S_(s+t2), height and length
+_SEMIGROUP_ATOL = 1e-9
+
+
+def run_semigroup(spec: ExperimentSpec) -> dict:
+    """Composition law of the pruning operator per functional, on spec.n
+    sampled trees.
 
     height: S_t o S_s = S_(s+t) exactly (continuous semigroup); ord with
     integer thresholds: discrete semigroup; length: fails, and both a fixed
     counterexample and a random search report one.
     """
     d = spec.distribution()
+    (s, t2), atol = _SEMIGROUP_STEPS, _SEMIGROUP_ATOL
     results = {}
-    trees, _ = smp.sample_forest(d, spec.seed, n_trees, budget=spec.budget, lam=spec.lam)
+    trees, _ = smp.sample_forest(d, spec.seed, spec.n, budget=spec.budget, lam=spec.lam)
     live = [t for t in trees if t is not None]
     for phi, (a, b) in {"height": (s, t2), "ord": (1.0, 1.0)}.items():
         bad = 0
@@ -620,17 +633,3 @@ def save_reports(reports, path: str):
         w.writerow(["test", "statistic", "threshold", "passed", "n"])
         for r in reports:
             w.writerow([r.test, r.statistic, r.threshold, r.passed, r.n])
-
-
-EXPERIMENTS = {
-    "verify-height": run_verify_height,
-    "verify-length": run_verify_length,
-    "verify-size": run_verify_size,
-    "invariance": run_invariance,
-    "falsify": run_uniqueness_falsification,
-    "thinning": run_thinning,
-    "attractor-gf": run_attractor_gf,
-    "attractor-mc": run_attractor_mc,
-    "coloring": run_coloring,
-    "semigroup": run_semigroup,
-}

@@ -24,7 +24,6 @@ __all__ = [
     "chi_square_threshold",
     "merge_tail_buckets",
     "fit_exponential_rate",
-    "shape_frequency",
 ]
 
 
@@ -201,46 +200,3 @@ def fit_exponential_rate(lengths: np.ndarray, conf: float = 0.95):
     lo = float(special.gammaincinv(n, a) / s)
     hi = float(special.gammainccinv(n, a) / s)
     return n / s, (lo, hi)
-
-
-# --------------------------------------------------------------------- #
-# Shape frequencies                                                       #
-# --------------------------------------------------------------------- #
-
-
-def shape_frequency(trees, small_limit: int = 64):
-    """Relative frequency of each shape (by canonical code) in a pool.
-
-    Shapes with at most ``small_limit`` edges are keyed by their canonical
-    byte code.  Larger shapes are still counted exactly (distinct shapes
-    get distinct keys via per-call interning) but keyed as
-    b"#big:<edges>:<id>", since materializing canonical codes of huge trees
-    costs O(size * depth) bytes.  Empty trees count under b"()".
-    """
-    counts: dict = {}
-    intern: dict = {}
-    total = 0
-    for t in trees:
-        if t is None:
-            continue
-        total += 1
-        if t.n_edges <= small_limit:
-            key = t.canonical_code()
-        else:
-            key = b"#big:%d:%d" % (t.n_edges, _intern_shape(t, intern))
-        counts[key] = counts.get(key, 0) + 1
-    if total == 0:
-        return {}
-    return {k: v / total for k, v in sorted(counts.items())}
-
-
-def _intern_shape(t, intern: dict) -> int:
-    # bottom-up AHU interning: isomorphic subtrees share an integer id
-    order, starts = t.children_table()
-    gs = t.gen_starts()
-    ids = np.zeros(t.n_vertices, dtype=np.int64)
-    for g in range(len(gs) - 2, -1, -1):
-        for v in range(int(gs[g]), int(gs[g + 1])):
-            sig = tuple(sorted(ids[order[starts[v]: starts[v + 1]]].tolist()))
-            ids[v] = intern.setdefault(sig, len(intern))
-    return int(ids[0])

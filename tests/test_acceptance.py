@@ -280,8 +280,7 @@ def test_criterion_10_attractor_monte_carlo():
 
 
 def test_criterion_11_semigroup():
-    out = xp.run_semigroup(xp.ExperimentSpec(dist="igw:0.5", seed=SEED),
-                           n_trees=1000, s=0.3, t2=0.3)
+    out = xp.run_semigroup(xp.ExperimentSpec(dist="igw:0.5", n=1000, seed=SEED))
     ok = (out["height"]["violations"] == 0 and out["height"]["checked"] >= 990
           and out["ord"]["violations"] == 0
           and out["length"]["fixed_violates"])

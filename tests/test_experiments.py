@@ -18,7 +18,10 @@ import pytest
 from igwlab import cli
 from igwlab import experiments as xp
 from igwlab import gof
+from igwlab import pruning as pr
+from igwlab import sampler as smp
 from igwlab.cli import main as cli_main, read_config
+from igwlab.offspring import from_spec
 
 SPEC = xp.ExperimentSpec(n=12000, seed=33)
 DATA = Path(__file__).parent / "data"
@@ -128,6 +131,27 @@ class TestAttractors:
                                              n=20000))
         assert not out["starved"] and out["passed"]
 
+    @pytest.mark.parametrize("dist", ["igw:0.6666666666666666", "geom:0.3", "zipf:1.5"])
+    def test_small_shapes_fixed_by_edges_and_first_branch(self, dist):
+        """The attractor check reads shapes of at most 5 edges from the
+        engine's (red_edges, first_branch) columns; every survivor of each
+        class has one canonical code, the predicted classes their label's."""
+        forest, _ = next(smp.iter_forest(from_spec(dist), 11, 2000, budget=2000,
+                                         lam=1.0, chunk=2000))
+        reductions = [pr.PrunedForest(forest, phi, t) for phi, t in (
+            ("height", 1.0), ("length", 2.0), ("leaves", 3.0), ("ord", 1.0))]
+        assert len(reductions[0].cut_idx) and len(reductions[1].cut_idx)
+        reductions.append(pr.color_forest(forest.live(), 0.5, 7))
+        codes = {}
+        for red in reductions:
+            for s in np.flatnonzero(red.survived & (red.red_edges <= 5)):
+                cls = (int(red.red_edges[s]), int(red.first_branch[s]))
+                codes.setdefault(cls, set()).add(
+                    red.extract_reduced(int(s)).canonical_code().decode())
+        assert all(len(c) == 1 for c in codes.values()), codes
+        for edges, branch, label in xp._shape_predictions(0.5):
+            assert codes[edges, branch] == {label}
+
 
 class TestColoringExperiment:
     def test_binary_adjudication(self):
@@ -140,11 +164,19 @@ class TestColoringExperiment:
 
 class TestSemigroupExperiment:
     def test_dichotomy(self):
-        out = xp.run_semigroup(SPEC.with_(n=200), n_trees=200)
+        out = xp.run_semigroup(SPEC.with_(n=200))
         assert out["height"]["violations"] == 0
         assert out["ord"]["violations"] == 0
         assert out["length"]["fixed_violates"]
         assert out["passed"]
+
+    def test_checks_spec_n_trees(self, capsys):
+        """--n was ignored: the verb sampled 1000 trees whatever it said."""
+        assert cli_main(["semigroup", "--dist", "igw:0.5", "--n", "20",
+                         "--budget", "200", "--seed", "3"]) == 0
+        lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        for phi in ("height", "ord"):
+            assert 0 < json.loads(lines[phi])["checked"] <= 20
 
 
 class TestMajorityAndReports:

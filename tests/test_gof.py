@@ -9,10 +9,8 @@ import pytest
 
 import igwlab
 from igwlab import gof
-from igwlab.newick import from_newick
 from igwlab.offspring import igw
 from igwlab.rng import CounterStream
-from igwlab.sampler import sample_forest
 
 
 class TestKS:
@@ -152,25 +150,7 @@ class TestQuantiles:
                 assert hi == float(stats.gamma.isf(a, n) / s)
 
 
-class TestShapeFrequency:
-    def test_identical_input(self):
-        t = from_newick("((:1,:2):1);")
-        freq = gof.shape_frequency([t] * 7)
-        assert freq == {t.canonical_code(): 1.0}
-
-    def test_single_edge_frequency_binary(self):
-        trees, _ = sample_forest(igw(0.5), 44, 20000, budget=100000)
-        freq = gof.shape_frequency(trees)
-        single = from_newick("(:1);").canonical_code()
-        cherry_code = from_newick("((:1,:1):1);").canonical_code()
-        assert freq[single] == pytest.approx(0.5, abs=0.01)
-        assert freq[cherry_code] == pytest.approx(1 / 8, abs=0.01)
-
-    def test_big_shapes_counted_distinctly(self):
-        trees, _ = sample_forest(igw(0.5), 44, 300, budget=100000)
-        freq = gof.shape_frequency(trees, small_limit=4)
-        assert sum(freq.values()) == pytest.approx(1.0, abs=1e-12)
-
+class TestGofReport:
     def test_reports(self):
         rep = gof.GofReport("t", 0.1, 0.2, True, 100, details={"a": np.float64(1)})
         out = rep.to_json()
