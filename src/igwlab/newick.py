@@ -1,25 +1,25 @@
-"""Newick and JSON serialization for unlabeled metric trees.
+"""Newick serialization for unlabeled metric trees.
 
 Trees here carry no labels, only branch lengths, so the Newick dialect is
 bare: ``(:2);`` is the single edge of length 2 (the outermost parentheses
 hold the root's children), ``((:1,:3):1);`` is a cherry with stem 1 and leaf
-edges 1 and 3, and ``;`` alone is the empty tree.  Output uses canonical
-sibling order and ``repr`` floats, so writing preserves every bit of the
-lengths and round-tripping is the identity up to sibling order.
-
-The JSON form mirrors the same structure: the root object has a ``children``
-list; every other node is ``{"len": <number>, "children": [...]}``.
+edges 1 and 3, and ``;`` alone is the empty tree.  Output lists siblings in
+the canonical order of :mod:`igwlab.trees` and lengths as ``repr`` floats,
+so writing preserves every bit of the lengths, isometric trees get the same
+text, and round-tripping is the identity up to sibling order.  The writer
+walks the canonical preorder without recursion, so it takes trees of any
+depth; the parser recurses once per level.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .trees import MetricTree
+from .trees import MetricTree, _canonical_preorder
 
-__all__ = ["to_newick", "from_newick", "NewickError", "to_json", "from_json"]
+__all__ = ["to_newick", "from_newick", "NewickError"]
+
+_BLOCK = 4096  # pieces joined into one block of output text
 
 
 class NewickError(ValueError):
@@ -38,37 +38,31 @@ class NewickError(ValueError):
 def to_newick(t: MetricTree) -> str:
     if t.is_empty:
         return ";"
-    order, starts = t.children_table()
-
-    def render(v: int) -> tuple[bytes, tuple, str]:
-        kids = order[starts[v]: starts[v + 1]]
-        sub = sorted((render(int(c)) for c in kids), key=lambda r: (len(r[0]), r[0], r[1]))
-        code = b"(" + b"".join(c for c, _, _ in sub) + b")"
-        own = (float(t.length[v]),) if v else ()
-        lens = own + tuple(x for _, ls, _ in sub for x in ls)
-        body = ",".join(s for _, _, s in sub)
-        if kids.shape[0]:
-            text = f"({body})"
-        else:
-            text = ""
-        if v:
-            text += f":{float(t.length[v])!r}"
-        return code, lens, text
-
-    _, _, inner = render(0)
-    return inner + ";"
-
-
-def to_json(t: MetricTree) -> str:
-    order, starts = t.children_table()
-
-    def node(v: int) -> dict:
-        kids = [node(int(c)) for c in order[starts[v]: starts[v + 1]]]
-        if v == 0:
-            return {"children": kids}
-        return {"len": float(t.length[v]), "children": kids}
-
-    return json.dumps(node(0))
+    _, pre = _canonical_preorder(t)
+    parent, nchild, length = (memoryview(a) for a in (t.parent, t.children_counts(), t.length))
+    blocks, parts = [], ["("]
+    prev = 0
+    for v in pre[1:]:
+        p = parent[v]
+        if prev != p:
+            # prev is the last leaf of v's previous sibling: close up to p
+            u = parent[prev]
+            while u != p:
+                parts.append(f"):{length[u]!r}")
+                u = parent[u]
+            parts.append(",")
+        parts.append("(" if nchild[v] else f":{length[v]!r}")
+        prev = v
+        if len(parts) >= _BLOCK:
+            blocks.append("".join(parts))
+            parts.clear()
+    u = parent[prev]
+    while u:
+        parts.append(f"):{length[u]!r}")
+        u = parent[u]
+    parts.append(");")
+    blocks.append("".join(parts))
+    return "".join(blocks)
 
 
 # --------------------------------------------------------------------- #
@@ -129,22 +123,3 @@ def _parse_node(s: str, pos: int, parent: int, parents, lengths) -> int:
         raise NewickError("invalid branch length", start) from None
     lengths[me] = val
     return pos
-
-
-def from_json(text: str) -> MetricTree:
-    obj = json.loads(text)
-    parents: list[int] = [-1]
-    lengths: list[float] = [0.0]
-
-    def walk(node: dict, parent: int):
-        if parent >= 0:
-            me = len(parents)
-            parents.append(parent)
-            lengths.append(float(node["len"]))
-        else:
-            me = 0
-        for child in node.get("children", []):
-            walk(child, me)
-
-    walk(obj, -1)
-    return MetricTree(np.array(parents, dtype=np.int32), np.array(lengths))

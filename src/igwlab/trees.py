@@ -16,7 +16,14 @@ Conventions
   be represented (they are the inputs of :func:`series_reduce`) and are
   flagged by :attr:`~CombinatorialTree.is_reduced`.
 * Shape identity is isomorphism of unordered rooted trees; sibling order is
-  meaningless and :func:`canonical_code` is the canonical witness.
+  meaningless and :meth:`~CombinatorialTree.canonical_code` is the
+  canonical witness.
+* *Canonical order*: a leaf's code is ``()`` and any other vertex's code is
+  ``(``, its children's codes in canonical order, ``)``.  Siblings sort by
+  (code length, code bytes); in a metric tree, siblings of equal code then
+  sort by the edge lengths of their subtrees in canonical preorder, compared
+  as tuples.  Siblings equal in both are identical subtrees.  The Newick
+  writer and :func:`almost_isometric` follow this order.
 
 Trees are immutable after construction (arrays are write-protected) and all
 operations are pure, so instances are safe to share across threads.
@@ -24,9 +31,11 @@ operations are pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,13 +45,8 @@ __all__ = [
     "Forest",
     "TreePoint",
     "shape",
-    "tree_height",
-    "tree_length",
-    "leaf_count",
-    "horton_strahler_order",
     "series_reduce",
     "descendant_subtree",
-    "canonical_code",
     "almost_isometric",
 ]
 
@@ -154,13 +158,11 @@ class CombinatorialTree:
     # -- shape identity ---------------------------------------------------- #
 
     def canonical_code(self) -> bytes:
-        """AHU-style code; equal codes iff trees are isomorphic.
-
-        Children are ordered by (subtree edge count, code lexicographic),
-        which is deterministic and independent of input sibling order.
-        """
+        """AHU-style code in canonical order (module docstring); equal
+        codes iff trees are isomorphic.  A k-edge subtree's code has 2k + 2
+        bytes, so ordering by code length is ordering by edge count."""
         if self._code is None:
-            self._code = _canonical_code(self)
+            self._code = _canonical_sweep(self)[0]
         return self._code
 
     def horton_strahler_order(self) -> int:
@@ -503,24 +505,51 @@ def _gen_starts_from_parent(parent: np.ndarray) -> np.ndarray:
     return np.array(starts, dtype=np.int64)
 
 
-def _canonical_code(t: CombinatorialTree) -> bytes:
-    if t.is_empty:
-        return b"()"
+def _canonical_sweep(t: CombinatorialTree):
+    """The canonical order (module docstring), by one bottom-up level sweep.
+
+    Returns ``(code, starts, kids)``: the root's code, and the children of
+    each vertex v in canonical order as ``kids[starts[v]:starts[v + 1]]``.
+    Equal codes mean equal layouts, so comparing two equal-code subtrees'
+    lengths in canonical preorder is comparing (own length, then the
+    children's ranks in canonical order), where a rank is the vertex's
+    dense rank by that key within its level.  Only the codes and ranks of
+    the level below are held; a shape-only tree has all lengths 0.
+    """
     n = t.n_vertices
-    order, starts = t.children_table()
-    codes: list = [None] * n
-    gs = t.gen_starts()
-    for g in range(len(gs) - 2, -1, -1):
-        for v in range(int(gs[g]), int(gs[g + 1])):
-            kids = order[starts[v]: starts[v + 1]]
-            if len(kids) == 0:
-                codes[v] = b"()"
-            else:
-                parts = sorted((codes[c] for c in kids), key=lambda b: (len(b), b))
-                codes[v] = b"(" + b"".join(parts) + b")"
-    # sorting by (len, lexicographic) equals (edge count, code) because the
-    # code of a k-edge subtree always has exactly 2k+2 bytes
-    return codes[0]
+    # breadth-first layout: the children of v are ids starts[v]..starts[v+1]-1
+    st = array("q", accumulate(memoryview(t.children_counts()), initial=1))
+    parent = memoryview(t.parent)
+    length = memoryview(t.length if isinstance(t, MetricTree) else np.zeros(n))
+    kids = array("q", range(n))
+    gs = t.gen_starts().tolist() + [n]
+    codes, ranks = [], []   # of the level below, by position in it
+    for g in range(len(gs) - 3, -1, -1):
+        base, end = gs[g + 1], gs[g + 2]
+        # the level below in canonical order; identical siblings keep id order
+        below = sorted(zip(parent[base:end], map(len, codes), codes, ranks, range(base, end)))
+        kids[base:end] = array("q", [s[4] for s in below])
+        codes, ranks = [s[2] for s in below], [s[3] for s in below]
+        up, keys = [], []
+        for v in range(gs[g], base):
+            a, b = st[v] - base, st[v + 1] - base
+            up.append(b"(" + b"".join(codes[a:b]) + b")")
+            keys.append((length[v], *ranks[a:b]))
+        rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
+        codes, ranks = up, [rank_of[k] for k in keys]
+    return codes[0], st, kids
+
+
+def _canonical_preorder(t: CombinatorialTree):
+    """``(code, pre)``: the root's code and the vertices in canonical preorder."""
+    code, st, kids = _canonical_sweep(t)
+    pre = array("q")
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        stack += reversed(kids[st[v]:st[v + 1]])
+    return code, pre
 
 
 def _horton_order(t: CombinatorialTree) -> int:
@@ -548,26 +577,6 @@ def _horton_order(t: CombinatorialTree) -> int:
 def shape(t: MetricTree) -> CombinatorialTree:
     """Forget edge lengths."""
     return t.shape()
-
-
-def tree_height(t: MetricTree) -> float:
-    return t.tree_height()
-
-
-def tree_length(t: MetricTree) -> float:
-    return t.tree_length()
-
-
-def leaf_count(t: CombinatorialTree) -> int:
-    return t.leaf_count()
-
-
-def horton_strahler_order(t: CombinatorialTree) -> int:
-    return t.horton_strahler_order()
-
-
-def canonical_code(t: CombinatorialTree) -> bytes:
-    return t.canonical_code()
 
 
 def series_reduce(t):
@@ -647,39 +656,15 @@ def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:
 def almost_isometric(t1: MetricTree, t2: MetricTree, atol: float = 1e-9) -> bool:
     """Whether two metric trees coincide as rooted metric spaces within atol.
 
-    Shapes must match exactly (canonical codes); edge lengths are compared
-    after aligning siblings canonically, with near-equal lengths paired by
-    sorting inside each identical-shape group.  Intended for test-style
-    comparisons where genuine length differences are far above ``atol``.
+    Shapes must match exactly (canonical codes); edge lengths are then
+    compared in canonical preorder (module docstring), so siblings of equal
+    shape are paired by the order of their subtrees' lengths.  Intended for
+    test-style comparisons where genuine length differences are far above
+    ``atol``.
     """
-    if t1.canonical_code() != t2.canonical_code():
+    c1, p1 = _canonical_preorder(t1)
+    c2, p2 = _canonical_preorder(t2)
+    if c1 != c2:
         return False
-    s1 = _length_signature(t1)
-    s2 = _length_signature(t2)
-    if len(s1) != len(s2):
-        return False
-    return all(abs(a - b) <= atol for a, b in zip(s1, s2))
-
-
-def _length_signature(t: MetricTree):
-    """Canonical traversal of edge lengths, aligned by shape code.
-
-    Children with equal codes are ordered by their length vectors, so two
-    isometric trees produce the same sequence up to floating-point noise.
-    """
-    n = t.n_vertices
-    order, starts = t.children_table()
-    code: list = [None] * n
-    lens: list = [None] * n
-    gs = t.gen_starts()
-    for g in range(len(gs) - 2, -1, -1):
-        for v in range(int(gs[g]), int(gs[g + 1])):
-            kids = order[starts[v]: starts[v + 1]]
-            sub = sorted(
-                ((code[c], lens[c]) for c in kids),
-                key=lambda p: (len(p[0]), p[0], p[1]),
-            )
-            code[v] = b"(" + b"".join(c for c, _ in sub) + b")"
-            own = (float(t.length[v]),) if v else ()
-            lens[v] = own + tuple(x for _, ls in sub for x in ls)
-    return lens[0]
+    d = t1.length[np.frombuffer(p1, dtype=np.int64)] - t2.length[np.frombuffer(p2, dtype=np.int64)]
+    return bool((np.abs(d) <= atol).all())

@@ -1,10 +1,10 @@
-"""Newick and JSON round trips, canonical output, and parse errors."""
+"""Newick round trips, canonical output, and parse errors."""
 
 import numpy as np
 import pytest
 
 from igwlab import trees as T
-from igwlab.newick import NewickError, from_json, from_newick, to_json, to_newick
+from igwlab.newick import NewickError, from_newick, to_newick
 from igwlab.offspring import igw
 from igwlab.sampler import sample_forest
 
@@ -39,14 +39,6 @@ class TestRoundTrip:
             back = from_newick(to_newick(t))
             assert back.canonical_code() == t.canonical_code()
             # repr() floats survive the trip bit for bit
-            assert T.almost_isometric(back, t, atol=0.0)
-
-    def test_json_roundtrip(self):
-        trees, _ = sample_forest(igw(0.5), 78, 20, lam=1.0, budget=20000)
-        for t in trees:
-            if t is None:
-                continue
-            back = from_json(to_json(t))
             assert T.almost_isometric(back, t, atol=0.0)
 
 

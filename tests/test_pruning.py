@@ -113,7 +113,8 @@ class TestMonotonicity:
     def test_vertex_values_match_descendant_subtrees(self, forest):
         """F[v] recomputed on the extracted descendant tree agrees."""
         for t in forest[:8]:
-            for phi, fn in (("height", T.tree_height), ("length", T.tree_length)):
+            for phi, fn in (("height", T.MetricTree.tree_height),
+                            ("length", T.MetricTree.tree_length)):
                 F = P.phi_by_name(phi).vertex_values(t)
                 for v in range(1, min(t.n_vertices, 10)):
                     sub = T.descendant_subtree(t, T.TreePoint.vertex(v))

@@ -2,6 +2,9 @@
 invariants (canonical-code stability, series-reduction conservation laws,
 order recursion)."""
 
+import re
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -182,3 +185,69 @@ class TestDescendantSubtree:
             T.descendant_subtree(cherry, T.TreePoint.vertex(99))
         with pytest.raises(ValueError):
             T.descendant_subtree(cherry, T.TreePoint.on_edge(1, 5.0))
+
+
+def _caterpillar(depth: int, seed: int) -> T.MetricTree:
+    """Planted caterpillar: a spine of ``depth`` edges, one leaf hanging
+    from every spine vertex; 2 * depth edges, lengths in [0.5, 1.5)."""
+    parent = [-1, 0]
+    for _ in range(depth - 1):
+        spine = len(parent) - 1
+        parent += [spine, spine]
+    parent.append(len(parent) - 1)
+    n = len(parent)
+    length = np.r_[0.0, 0.5 + CounterStream(seed).uniforms(n - 1)]
+    return T.MetricTree(np.array(parent, dtype=np.int32), length)
+
+
+def _shuffled(t: T.MetricTree, seed: int) -> T.MetricTree:
+    """The same tree with its non-root vertices relabeled at random."""
+    n = t.n_vertices
+    inv = np.r_[0, 1 + np.argsort(np.argsort(CounterStream(seed).uniforms(n - 1)))]
+    parent = np.empty(n, dtype=np.int32)
+    length = np.empty(n)
+    parent[inv] = np.r_[-1, inv[t.parent[1:]]]
+    length[inv] = t.length
+    return T.MetricTree(parent, length)
+
+
+class TestCanonicalOrderAtDepth:
+    """The canonical order, its code, the Newick writer and the isometry
+    test on trees far deeper than the interpreter's recursion limit."""
+
+    DEPTH = 3000
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return _caterpillar(self.DEPTH, 5)
+
+    def test_writer_and_code(self, deep):
+        text = to_newick(deep)
+        assert text.count("(") == int(np.count_nonzero(deep.children_counts()))
+        assert sorted(re.findall(r":([^,)]+)", text)) == sorted(map(repr, deep.length[1:].tolist()))
+        code = b"(())"  # the last spine vertex and its leaf
+        for _ in range(self.DEPTH - 1):
+            code = b"(()" + code + b")"
+        assert deep.canonical_code() == b"(" + code + b")"
+
+    def test_isometry(self, deep):
+        shuffled = _shuffled(deep, 6)
+        assert not np.array_equal(shuffled.parent, deep.parent)
+        assert T.almost_isometric(shuffled, deep, atol=0.0)
+        assert to_newick(shuffled) == to_newick(deep)
+        length = shuffled.length.copy()
+        length[np.flatnonzero(shuffled.children_counts() == 0)[-1]] += 1e-6
+        moved = T.MetricTree(shuffled.parent, length)
+        assert not T.almost_isometric(moved, deep, atol=1e-9)
+
+    def test_isometry_cost_is_near_linear(self):
+        def best(t):
+            times = []
+            for _ in range(3):
+                t0 = perf_counter()
+                assert T.almost_isometric(t, t)
+                times.append(perf_counter() - t0)
+            return min(times)
+
+        small, large = best(_caterpillar(3000, 7)), best(_caterpillar(6000, 7))
+        assert large < 3 * small, (small, large)
