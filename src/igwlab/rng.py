@@ -10,21 +10,26 @@ counter-based generator with random access:
     draw = philox4x32(key=stream_key(seed, replicate), counter=draw_index)
 
 The block cipher is Philox-4x32 with 10 rounds (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3"), implemented here directly on numpy
-``uint64`` lanes so that a whole frontier of tree vertices, spanning many
-replicates, is evaluated in one vectorized call.  Each 128-bit block yields
-two 53-bit uniforms; vertex ``j`` of a replicate always consumes block ``j``
-regardless of how replicates are batched.
+random numbers: as easy as 1, 2, 3").  ``philox4x32`` evaluates it on numpy
+``uint64`` lanes, so that a whole frontier of tree vertices, spanning many
+replicates, is one vectorized call; calls of a few lanes (one tree's leaf
+coloring, one level of the scalar sampler) run on Python ints instead,
+where numpy's per-operation set-up would cost more than the rounds.  Each
+128-bit block yields two 53-bit uniforms; vertex ``j`` of a replicate
+always consumes block ``j`` regardless of how replicates are batched.
 
 Everything here is integer arithmetic, hence reproducible across platforms.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _LO32 = np.uint64(0xFFFFFFFF)
+_M32 = 0xFFFFFFFF
 
 # Philox-4x32 round constants.
 _PHILOX_M0 = np.uint64(0xD2511F53)
@@ -41,6 +46,9 @@ _U64_MASK = (1 << 64) - 1
 
 # Lanes per tile of a large philox4x32 call.
 _TILE = 1 << 14
+
+# Calls of at most this many lanes run on Python ints (see philox4x32).
+_SMALL = 12
 
 # Scale for mapping integers to floats: 2**-53.
 _INV53 = 1.0 / 9007199254740992.0
@@ -67,7 +75,10 @@ def stream_key(seed: int, replicate: int) -> int:
 
 def stream_keys(seed: int, replicates: np.ndarray) -> np.ndarray:
     """Vectorized :func:`stream_key` for an array of replicate indices."""
-    z = (np.asarray(replicates, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+    replicates = np.asarray(replicates)
+    if replicates.size and replicates.min() < 0:
+        raise ValueError("replicate index must be >= 0")
+    z = (replicates.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
     z = z + np.uint64(seed & _U64_MASK)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
@@ -81,23 +92,35 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
 
     Parameters
     ----------
-    key     : uint64 array; per-lane 64-bit key (split into the two 32-bit
-              Philox key words).
+    key     : uint64 array or int; per-lane 64-bit key (split into the two
+              32-bit Philox key words).
     counter : uint64 array; per-lane block index, forming counter words
               (c0, c1).  ``domain`` supplies c2 so that independent draw
               families can share a key without overlap; c3 is zero.
 
     Returns
     -------
-    (w01, w23) : two uint64 arrays, the four 32-bit output words paired up.
+    (w01, w23) : two uint64 arrays of the broadcast shape, the four 32-bit
+                 output words paired up.
 
-    Calls of more than ``_TILE`` lanes run tile by tile, so that the ten
-    rounds' temporaries stay in cache; lanes are independent, so the
-    output does not depend on the tiling.
+    A call of at most ``_SMALL`` lanes runs block by block on Python ints:
+    numpy spends about 100 us of set-up on the ten rounds whatever the lane
+    count, against 5-10 us per block on ints (BENCH_9.json has the measured
+    crossover).  Larger calls run on numpy
+    lanes, tile by tile beyond ``_TILE`` lanes so that the rounds'
+    temporaries stay in cache.  Every step of a round is an integer
+    operation taken mod 2**32 or 2**64 on both paths, so they give the same
+    words; lanes are independent, so neither the path nor the tiling
+    changes the output.
     """
     key = np.asarray(key, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
-    if max(key.size, counter.size) <= _TILE:
+    lanes = np.broadcast(key, counter)
+    if lanes.size <= _SMALL:
+        return _philox_ints(key, counter, domain, lanes)
+    if lanes.size <= _TILE:
+        if counter.shape != lanes.shape:  # the rounds update counter-shaped words in place
+            counter = np.broadcast_to(counter, lanes.shape)
         return _philox_rounds(key, counter, domain)
     key, counter = np.broadcast_arrays(key, counter)
     shape = key.shape
@@ -108,6 +131,51 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
         tile = slice(lo, lo + _TILE)
         _philox_rounds(key[tile], counter[tile], domain, (w01[tile], w23[tile]))
     return w01.reshape(shape), w23.reshape(shape)
+
+
+# Round r adds r times the Weyl constants to the two key words.
+_KEY_STEPS = tuple((r * int(_PHILOX_W0), r * int(_PHILOX_W1)) for r in range(10))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _key_schedule(key: int) -> tuple:
+    """The (k0, k1) key words of each of the ten rounds of one key.
+
+    Cached because a stream keeps its key across calls: the scalar
+    sampler's levels, a run of ``CounterStream.uniform()`` draws.
+    """
+    k0, k1 = key & _M32, key >> 32
+    return tuple([((k0 + s0) & _M32, (k1 + s1) & _M32) for s0, s1 in _KEY_STEPS])
+
+
+def _int_lanes(a: np.ndarray, shape: tuple, size: int) -> list:
+    """``a`` broadcast to ``shape`` as a flat list of Python ints."""
+    if a.size == size:
+        return a.ravel().tolist()
+    if a.size == 1:
+        return a.ravel().tolist() * size
+    return np.broadcast_to(a, shape).ravel().tolist()
+
+
+def _philox_ints(key, counter, domain, lanes):
+    """:func:`philox4x32` on Python ints, one block at a time."""
+    shape, size = lanes.shape, lanes.size
+    keys = _int_lanes(key, shape, size)
+    ctrs = _int_lanes(counter, shape, size)
+    c2 = domain & _M32
+    m0, m1 = int(_PHILOX_M0), int(_PHILOX_M1)
+    w01, w23 = [], []
+    for k, c in zip(keys, ctrs):
+        x0, x1, x2, x3 = c & _M32, c >> 32, c2, 0
+        for k0, k1 in _key_schedule(k):
+            p0 = m0 * x0
+            p1 = m1 * x2
+            x0, x1, x2, x3 = (p1 >> 32) ^ x1 ^ k0, p1 & _M32, (p0 >> 32) ^ x3 ^ k1, p0 & _M32
+        w01.append(x0 << 32 | x1)
+        w23.append(x2 << 32 | x3)
+    # [()] makes 0-d results numpy scalars, as the ufuncs of the numpy path do
+    return (np.array(w01, dtype=np.uint64).reshape(shape)[()],
+            np.array(w23, dtype=np.uint64).reshape(shape)[()])
 
 
 def _philox_rounds(key, counter, domain, out=None):
@@ -212,7 +280,7 @@ class CounterStream:
         first = self._pos >> 1
         last = (self._pos + n - 1) >> 1
         ctr = np.arange(first, last + 1, dtype=np.uint64)
-        w01, w23 = philox4x32(np.full(len(ctr), self.key, dtype=np.uint64), ctr, self.domain)
+        w01, w23 = philox4x32(self.key, ctr, self.domain)
         buf = np.empty(2 * len(ctr))
         buf[0::2] = _to_unit(w01)
         buf[1::2] = _to_unit(w23)

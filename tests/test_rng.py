@@ -1,10 +1,12 @@
-"""Counter-based generator: reference vectors, vector/scalar agreement,
-stream independence, and the uniform mappings."""
+"""Counter-based generator: reference vectors, agreement of the Python-int,
+numpy and scalar Philox paths, stream independence, and the uniform
+mappings."""
 
 import numpy as np
 import pytest
 
 from igwlab import rng
+from test_rng_bits import LANES
 from igwlab.rng import (
     CounterStream,
     block_uniforms,
@@ -62,6 +64,90 @@ class TestPhilox:
         assert np.array_equal(w01[perm], w01p)
 
 
+def _scalar_words(key, counter, domain):
+    """``philox4x32_scalar`` lane by lane, broadcast like the vector paths."""
+    k, c = np.broadcast_arrays(np.asarray(key, dtype=np.uint64),
+                               np.asarray(counter, dtype=np.uint64))
+    pairs = [philox4x32_scalar(int(a), int(b), domain) for a, b in zip(k.ravel(), c.ravel())]
+    return tuple(np.array([p[i] for p in pairs], dtype=np.uint64).reshape(k.shape)
+                 for i in (0, 1))
+
+
+class TestSmallCalls:
+    """Calls of at most ``_SMALL`` lanes run on Python ints, larger ones on
+    numpy lanes; both must give the scalar reference's words."""
+
+    BIG_COUNTERS = np.array([0xFFFFFFFF, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 7,
+                             2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    DOMAINS = (0, 7, 0x80000000, 0xFFFFFFFF, 2 ** 40 + 3, -1, -5, -(2 ** 31), -(2 ** 40))
+
+    @staticmethod
+    def _paths(key, counter, domain):
+        """(ints path, numpy path, scalar reference) on the same lanes."""
+        out = []
+        for cutoff in (rng._TILE, -1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rng, "_SMALL", cutoff)
+                out.append(philox4x32(key, counter, domain))
+        return (*out, _scalar_words(key, counter, domain))
+
+    def _assert_agree(self, key, counter, domain):
+        small, lanes, ref = self._paths(key, counter, domain)
+        for a, b, r in zip(small, lanes, ref):
+            assert type(a) is type(b)
+            assert a.dtype == b.dtype == np.uint64
+            assert a.shape == b.shape == r.shape
+            assert np.array_equal(a, b) and np.array_equal(a, r)
+
+    def test_cutoff_is_below_the_pinned_lane_counts(self):
+        """tests/test_rng_bits.py pins every lane count up to LANES."""
+        assert 1 <= rng._SMALL and 2 * rng._SMALL + 1 <= LANES
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_high_counters_and_domains(self, domain):
+        keys = stream_keys(3, np.arange(len(self.BIG_COUNTERS)))
+        self._assert_agree(keys, self.BIG_COUNTERS, domain)
+        self._assert_agree(0xFEDCBA9876543210, self.BIG_COUNTERS, domain)
+
+    @pytest.mark.parametrize("key,counter", [
+        (2 ** 64 - 1, np.arange(5, dtype=np.uint64)),         # scalar key
+        (np.uint64(9), np.uint64(2 ** 33)),                    # 0-d both
+        (np.array(12, dtype=np.uint64), np.uint64(3)),         # 0-d arrays
+        (np.arange(4, dtype=np.uint64), np.uint64(2 ** 32)),  # scalar counter
+        (np.arange(3, dtype=np.uint64)[:, None], np.arange(4, dtype=np.uint64)),  # 3 x 4
+        (np.arange(5, dtype=np.uint64), np.arange(4, dtype=np.uint64)[:, None]),  # 4 x 5
+        (np.arange(2, dtype=np.uint64), np.zeros((3, 0, 2), dtype=np.uint64)),  # empty
+    ])
+    def test_broadcast_shapes(self, key, counter):
+        self._assert_agree(key, counter, 11)
+
+    def test_public_call_matches_both_paths_at_every_lane_count(self):
+        for n in range(2 * rng._SMALL + 2):
+            keys = stream_keys(17, np.arange(n))
+            ctrs = np.arange(n, dtype=np.uint64) + np.uint64(2 ** 32 - 2)
+            got = philox4x32(keys, ctrs, -9)
+            for want in self._paths(keys, ctrs, -9):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_zero_d_input_gives_zero_d_output(self):
+        w01, w23 = philox4x32(np.uint64(5), np.uint64(7), 3)
+        assert np.ndim(w01) == np.ndim(w23) == 0
+        assert (int(w01), int(w23)) == philox4x32_scalar(5, 7, 3)
+        u, v = block_uniforms(np.uint64(5), np.uint64(7), 3)
+        assert np.ndim(u) == np.ndim(v) == 0
+
+    def test_uniforms_do_not_depend_on_how_draws_are_split(self):
+        """40 uniforms one at a time, as 17 + 23 and in one call: the pieces
+        straddle the cutoff and odd block boundaries."""
+        whole = CounterStream(8, 2, domain=7).uniforms(40)
+        st = CounterStream(8, 2, domain=7)
+        halves = np.concatenate([st.uniforms(17), st.uniforms(23)])
+        st = CounterStream(8, 2, domain=7)
+        singles = np.array([st.uniform() for _ in range(40)])
+        assert whole.tobytes() == halves.tobytes() == singles.tobytes()
+        assert 2 * rng._SMALL < 40
+
+
 class TestKeys:
     def test_stream_keys_match_scalar(self):
         reps = np.arange(1000)
@@ -76,6 +162,14 @@ class TestKeys:
     def test_negative_replicate_rejected(self):
         with pytest.raises(ValueError):
             stream_key(1, -1)
+
+    def test_negative_replicate_rejected_vectorized(self):
+        """stream_keys used to wrap -1 to 2**64 - 1 and return a key."""
+        with pytest.raises(ValueError):
+            stream_keys(5, np.array([-1]))
+        with pytest.raises(ValueError):
+            stream_keys(5, np.array([0, 3, -2]))
+        assert stream_keys(5, np.array([], dtype=np.int64)).size == 0
 
 
 class TestUniforms:
