@@ -137,7 +137,7 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
 _KEY_STEPS = tuple((r * int(_PHILOX_W0), r * int(_PHILOX_W1)) for r in range(10))
 
 
-@functools.lru_cache(maxsize=1 << 12)
+@functools.lru_cache(maxsize=256)
 def _key_schedule(key: int) -> tuple:
     """The (k0, k1) key words of each of the ten rounds of one key.
 
