@@ -18,7 +18,8 @@ where numpy's per-operation set-up would cost more than the rounds.  Each
 128-bit block yields two 53-bit uniforms; vertex ``j`` of a replicate
 always consumes block ``j`` regardless of how replicates are batched.
 
-Everything here is integer arithmetic, hence reproducible across platforms.
+Everything here is exact integer arithmetic, so both paths give the same
+bits, on any platform.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _U64_MASK = (1 << 64) - 1
 # Lanes per tile of a large philox4x32 call.
 _TILE = 1 << 14
 
-# Calls of at most this many lanes run on Python ints (see philox4x32).
+# Calls of at most this many lanes run on Python ints (see philox4x32); at
+# 12 lanes of distinct keys the two paths cost about the same.
 _SMALL = 12
 
 # Scale for mapping integers to floats: 2**-53.
@@ -104,13 +106,13 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
                  output words paired up.
 
     A call of at most ``_SMALL`` lanes runs block by block on Python ints:
-    numpy spends about 100 us of set-up on the ten rounds whatever the lane
-    count, against 5-10 us per block on ints (BENCH_9.json has the measured
-    crossover).  Larger calls run on numpy
-    lanes, tile by tile beyond ``_TILE`` lanes so that the rounds'
-    temporaries stay in cache.  Every step of a round is an integer
-    operation taken mod 2**32 or 2**64 on both paths, so they give the same
-    words; lanes are independent, so neither the path nor the tiling
+    numpy spends 70-130 us on the ten rounds of a small call whatever its
+    lane count, against 4-7 us per block on ints (``BENCH_9.json`` has the
+    measured crossover).  Larger calls run on numpy lanes, tile by tile
+    beyond ``_TILE`` lanes so that the rounds' temporaries stay in cache.
+    Both paths compute the same exact integers: a product of two 32-bit
+    words fits in 64 bits, and every other step is a shift, xor or 32-bit
+    mask.  Lanes are independent, so neither the path nor the tiling
     changes the output.
     """
     key = np.asarray(key, dtype=np.uint64)

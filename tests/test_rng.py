@@ -121,32 +121,6 @@ class TestSmallCalls:
     def test_broadcast_shapes(self, key, counter):
         self._assert_agree(key, counter, 11)
 
-    def test_public_call_matches_both_paths_at_every_lane_count(self):
-        for n in range(2 * rng._SMALL + 2):
-            keys = stream_keys(17, np.arange(n))
-            ctrs = np.arange(n, dtype=np.uint64) + np.uint64(2 ** 32 - 2)
-            got = philox4x32(keys, ctrs, -9)
-            for want in self._paths(keys, ctrs, -9):
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-    def test_zero_d_input_gives_zero_d_output(self):
-        w01, w23 = philox4x32(np.uint64(5), np.uint64(7), 3)
-        assert np.ndim(w01) == np.ndim(w23) == 0
-        assert (int(w01), int(w23)) == philox4x32_scalar(5, 7, 3)
-        u, v = block_uniforms(np.uint64(5), np.uint64(7), 3)
-        assert np.ndim(u) == np.ndim(v) == 0
-
-    def test_uniforms_do_not_depend_on_how_draws_are_split(self):
-        """40 uniforms one at a time, as 17 + 23 and in one call: the pieces
-        straddle the cutoff and odd block boundaries."""
-        whole = CounterStream(8, 2, domain=7).uniforms(40)
-        st = CounterStream(8, 2, domain=7)
-        halves = np.concatenate([st.uniforms(17), st.uniforms(23)])
-        st = CounterStream(8, 2, domain=7)
-        singles = np.array([st.uniform() for _ in range(40)])
-        assert whole.tobytes() == halves.tobytes() == singles.tobytes()
-        assert 2 * rng._SMALL < 40
-
 
 class TestKeys:
     def test_stream_keys_match_scalar(self):
@@ -187,11 +161,15 @@ class TestUniforms:
         assert hist.min() > 9000  # expected 10000 per bin
 
     def test_counterstream_sequential_matches_blocks(self):
+        """40 uniforms in one call (20 blocks, past the short-call cutoff),
+        as 17 + 23 and one at a time give the same bytes."""
+        assert rng._SMALL < 20
+        whole = CounterStream(7, replicate=3).uniforms(40)
         st = CounterStream(7, replicate=3)
-        us = st.uniforms(9)
-        st2 = CounterStream(7, replicate=3)
-        singles = [st2.uniform() for _ in range(9)]
-        assert np.allclose(us, singles, atol=0)
+        halves = np.concatenate([st.uniforms(17), st.uniforms(23)])
+        st = CounterStream(7, replicate=3)
+        singles = np.array([st.uniform() for _ in range(40)])
+        assert whole.tobytes() == halves.tobytes() == singles.tobytes()
 
     def test_exponentials_positive(self):
         st = CounterStream(1)
