@@ -24,8 +24,6 @@ bits, on any platform.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -119,7 +117,7 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
     counter = np.asarray(counter, dtype=np.uint64)
     lanes = np.broadcast(key, counter)
     if lanes.size <= _SMALL:
-        return _philox_ints(key, counter, domain, lanes)
+        return _philox_ints(key, counter, domain, lanes.shape)
     if lanes.size <= _TILE:
         if counter.shape != lanes.shape:  # the rounds update counter-shaped words in place
             counter = np.broadcast_to(counter, lanes.shape)
@@ -139,37 +137,20 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
 _KEY_STEPS = tuple((r * int(_PHILOX_W0), r * int(_PHILOX_W1)) for r in range(10))
 
 
-@functools.lru_cache(maxsize=256)
-def _key_schedule(key: int) -> tuple:
-    """The (k0, k1) key words of each of the ten rounds of one key.
-
-    Cached because a stream keeps its key across calls: the scalar
-    sampler's levels, a run of ``CounterStream.uniform()`` draws.
-    """
-    k0, k1 = key & _M32, key >> 32
-    return tuple([((k0 + s0) & _M32, (k1 + s1) & _M32) for s0, s1 in _KEY_STEPS])
-
-
-def _int_lanes(a: np.ndarray, shape: tuple, size: int) -> list:
-    """``a`` broadcast to ``shape`` as a flat list of Python ints."""
-    if a.size == size:
-        return a.ravel().tolist()
-    if a.size == 1:
-        return a.ravel().tolist() * size
-    return np.broadcast_to(a, shape).ravel().tolist()
-
-
-def _philox_ints(key, counter, domain, lanes):
+def _philox_ints(key, counter, domain, shape):
     """:func:`philox4x32` on Python ints, one block at a time."""
-    shape, size = lanes.shape, lanes.size
-    keys = _int_lanes(key, shape, size)
-    ctrs = _int_lanes(counter, shape, size)
-    c2 = domain & _M32
+    keys = np.broadcast_to(key, shape).ravel().tolist()
+    ctrs = np.broadcast_to(counter, shape).ravel().tolist()
+    c2 = int(domain) & _M32  # a numpy integer domain would make the rounds overflow
     m0, m1 = int(_PHILOX_M0), int(_PHILOX_M1)
     w01, w23 = [], []
+    last = None
     for k, c in zip(keys, ctrs):
+        if k != last:  # the lanes of one stream share a key and its schedule
+            k0, k1, last = k & _M32, k >> 32, k
+            schedule = [((k0 + s0) & _M32, (k1 + s1) & _M32) for s0, s1 in _KEY_STEPS]
         x0, x1, x2, x3 = c & _M32, c >> 32, c2, 0
-        for k0, k1 in _key_schedule(k):
+        for k0, k1 in schedule:
             p0 = m0 * x0
             p1 = m1 * x2
             x0, x1, x2, x3 = (p1 >> 32) ^ x1 ^ k0, p1 & _M32, (p0 >> 32) ^ x3 ^ k1, p0 & _M32
@@ -218,6 +199,7 @@ def _philox_rounds(key, counter, domain, out=None):
 
 def philox4x32_scalar(key: int, counter: int, domain: int = 0):
     """Scalar reference of :func:`philox4x32` (used for cross-validation)."""
+    key, counter, domain = int(key), int(counter), int(domain)
     c = [counter & 0xFFFFFFFF, (counter >> 32) & 0xFFFFFFFF, domain & 0xFFFFFFFF, 0]
     k = [key & 0xFFFFFFFF, (key >> 32) & 0xFFFFFFFF]
     m0, m1 = 0xD2511F53, 0xCD9E8D57

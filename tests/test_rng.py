@@ -79,7 +79,8 @@ class TestSmallCalls:
 
     BIG_COUNTERS = np.array([0xFFFFFFFF, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 7,
                              2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
-    DOMAINS = (0, 7, 0x80000000, 0xFFFFFFFF, 2 ** 40 + 3, -1, -5, -(2 ** 31), -(2 ** 40))
+    DOMAINS = (0, 7, 0x80000000, 0xFFFFFFFF, 2 ** 40 + 3, -1, -5, -(2 ** 31), -(2 ** 40),
+               np.int64(7), np.int64(2 ** 31 + 5), np.int64(-3), np.uint64(2 ** 32 + 9))
 
     @staticmethod
     def _paths(key, counter, domain):
