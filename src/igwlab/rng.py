@@ -104,8 +104,8 @@ def philox4x32(key: np.ndarray, counter: np.ndarray, domain: int = 0):
                  output words paired up.
 
     A call of at most ``_SMALL`` lanes runs block by block on Python ints:
-    numpy spends 70-130 us on the ten rounds of a small call whatever its
-    lane count, against 4-7 us per block on ints (``BENCH_9.json`` has the
+    numpy spends 80-135 us on the ten rounds of a small call whatever its
+    lane count, against 5-8 us per block on ints (``BENCH_9.json`` has the
     measured crossover).  Larger calls run on numpy lanes, tile by tile
     beyond ``_TILE`` lanes so that the rounds' temporaries stay in cache.
     Both paths compute the same exact integers: a product of two 32-bit
