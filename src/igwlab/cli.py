@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Verbs: sample, prune, color, dist, verify, invariance, falsify, attractor,
-semigroup, thinning, coloring, report.  Distributions are addressed by spec
-strings (igw:0.5, zipf:1.5, geom:0.5, binary, table:<path>).  Exit code 0
-means every verdict in the run passed.
+Verbs: sample, prune, color, dist, verify, invariance, falsify, thinning,
+coloring, semigroup, attractor, report.  Distributions are addressed by
+spec strings (igw:0.5, zipf:1.5, geom:0.5, binary, table:<path>).
 
-A config file (flat ``key = value`` lines, # comments) can preload any
-experiment option; command-line flags win.
+Each verb takes only the flags it reads (``igwlab <verb> --help``).  A flag
+the verb, or the mode of dist, verify or attractor, would ignore is a usage
+error.  Exit code 0 means every verdict in the run passed, 1 that one
+failed, 2 a usage error.
+
+A config file (flat ``key = value`` lines, # comments) given by --config
+may set any experiment spec field, so that one file serves several verbs;
+flags win.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from contextlib import nullcontext
 from itertools import islice
 
@@ -27,11 +33,9 @@ from . import sampler as smp
 from .newick import from_newick, to_newick
 from .offspring import from_spec
 
-_SPEC_FIELDS = {f: t for f, t in (
-    ("dist", str), ("lam", float), ("phi", str), ("threshold", float),
-    ("survival_target", float), ("n", int), ("seed", int), ("budget", int),
-    ("p", float), ("max_censor_rate", float), ("alpha", float), ("chunk", int),
-)}
+# spec field -> its type, float | None read as float
+_SPEC_TYPES = {f: next((a for a in typing.get_args(t) if a is not type(None)), t)
+               for f, t in typing.get_type_hints(xp.ExperimentSpec).items()}
 
 
 def read_config(path: str) -> dict:
@@ -45,83 +49,16 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             k, v = (s.strip() for s in line.split("=", 1))
-            if k not in _SPEC_FIELDS:
+            if k not in _SPEC_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
-            out[k] = _SPEC_FIELDS[k](v)
+            out[k] = _SPEC_TYPES[k](v)
     return out
 
 
 def _spec_from(args) -> xp.ExperimentSpec:
-    kw = {}
-    if getattr(args, "config", None):
-        kw.update(read_config(args.config))
-    for f in _SPEC_FIELDS:
-        v = getattr(args, f, None)
-        if v is not None:
-            kw[f] = v
+    kw = read_config(args.config) if getattr(args, "config", None) else {}
+    kw.update((f, v) for f in _SPEC_TYPES if (v := getattr(args, f, None)) is not None)
     return xp.ExperimentSpec(**kw)
-
-
-def _add_spec_args(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--dist", help="offspring law spec, e.g. igw:0.5")
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, help="edge rate")
-    p.add_argument("--phi", choices=["height", "length", "leaves", "ord"])
-    p.add_argument("--threshold", "--t", dest="threshold", type=float)
-    p.add_argument("--survival-target", dest="survival_target", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--p", type=float, help="coloring parameter")
-    p.add_argument("--alpha", type=float)
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="igwlab", description=__doc__)
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("sample", help="draw random trees")
-    _add_spec_args(p)
-    p.add_argument("--out", required=True, help="*.newick for trees, *.json for stats")
-
-    p = sub.add_parser("prune", help="generalized dynamical pruning of a forest")
-    _add_spec_args(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", help="CSV of interior cut points")
-
-    p = sub.add_parser("color", help="Bernoulli leaf coloring of a forest")
-    _add_spec_args(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("dist", help="closed-form law values on a grid")
-    p.add_argument("law", choices=["height", "length", "size"])
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--x-grid", default="0:10:0.1", help="lo:hi:step")
-    p.add_argument("--prec-bits", type=int, default=0,
-                   help="series precision for length/size: 0 = automatic, else >= 53")
-    p.add_argument("--out", help="CSV path (default stdout)")
-
-    p = sub.add_parser("verify", help="distribution-law Monte Carlo checks")
-    p.add_argument("law", choices=["height", "length", "size"])
-    _add_spec_args(p)
-
-    for verb in ("invariance", "falsify", "thinning", "coloring", "semigroup"):
-        p = sub.add_parser(verb)
-        _add_spec_args(p)
-
-    p = sub.add_parser("attractor", help="pushforward limits (gf) or Monte Carlo (mc)")
-    p.add_argument("mode", choices=["gf", "mc"])
-    _add_spec_args(p)
-    p.add_argument("--iterations", type=int, help="leaf-pruning rounds for phi=ord")
-
-    p = sub.add_parser("report", help="re-emit a JSON-lines report as text")
-    p.add_argument("path")
-
-    args = ap.parse_args(argv)
-    return _dispatch(args)
 
 
 # sample writes, and prune and color read, this many trees at a time
@@ -139,173 +76,225 @@ def _read_chunks(path):
             lo += len(trees)
 
 
-def _write_forest(trees, fh):
-    for t in trees:
-        fh.write(to_newick(t) + "\n")
+# One handler per verb: (spec, args) -> the experiment's result, whose
+# verdict sets the exit code, or None for a verb without one.
+def _sample(spec, args):
+    d = from_spec(spec.dist)
+    if args.out.endswith(".json"):
+        st = smp.sample_stats(d, spec.seed, spec.n, budget=spec.budget, lam=spec.lam)
+        payload = {
+            "dist": spec.dist, "lam": spec.lam, "n": spec.n, "seed": spec.seed,
+            "censor_rate": st.censor_rate,
+            "edges_mean": float(st.edges[~st.censored].mean()),
+            "height_mean": None if st.heights is None else float(np.nanmean(st.heights)),
+            "length_mean": None if st.lengths is None else float(np.nanmean(st.lengths)),
+        }
+        with open(args.out, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        return
+    ncen = 0
+    with open(args.out, "w") as fh:
+        for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
+                                           lam=spec.lam, chunk=_CHUNK):
+            fh.writelines(to_newick(t) + "\n" for t in forest.live())
+            ncen += int(cen.sum())
+    if ncen:
+        print(f"censored replicates skipped: {ncen}", file=sys.stderr)
 
 
-def _survivors(red: pr.ForestReduction):
-    return [red.extract_reduced(s) for s in np.flatnonzero(red.survived)]
-
-
-def _dispatch(args) -> int:
-    verb = args.verb
-    if verb == "sample":
-        spec = _spec_from(args)
-        d = from_spec(spec.dist)
-        if args.out.endswith(".json"):
-            st = smp.sample_stats(d, spec.seed, spec.n, budget=spec.budget,
-                                  lam=spec.lam)
-            payload = {
-                "dist": spec.dist, "lam": spec.lam, "n": spec.n, "seed": spec.seed,
-                "censor_rate": st.censor_rate,
-                "edges_mean": float(st.edges[~st.censored].mean()),
-                "height_mean": None if st.heights is None
-                else float(np.nanmean(st.heights)),
-                "length_mean": None if st.lengths is None
-                else float(np.nanmean(st.lengths)),
-            }
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        else:
-            ncen = 0
-            with open(args.out, "w") as fh:
-                for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
-                                                   lam=spec.lam, chunk=_CHUNK):
-                    _write_forest(forest.live(), fh)
-                    ncen += int(cen.sum())
-            if ncen:
-                print(f"censored replicates skipped: {ncen}", file=sys.stderr)
-        return 0
-
-    if verb == "prune":
-        spec = _spec_from(args)
-        if spec.threshold is None or spec.threshold <= 0:
-            print("igwlab prune: a positive threshold --t is required", file=sys.stderr)
-            return 2
-        n = survived = 0
-        with open(args.out, "w") as out, \
-                (open(args.log, "w") if args.log else nullcontext()) as log:
+def _reduce_file(args, reduce):
+    """Reduce the forest of --in chunk by chunk with reduce(trees, index of
+    the first tree); write the survivors to --out, the cuts to prune's --log."""
+    n = survived = 0
+    with open(args.out, "w") as out, \
+            (open(args.log, "w") if getattr(args, "log", None) else nullcontext()) as log:
+        if log:
+            log.write("tree,edge_child,offset\n")
+        for lo, trees in _read_chunks(args.infile):
+            red = reduce(trees, lo)
+            out.writelines(to_newick(red.extract_reduced(s)) + "\n"
+                           for s in np.flatnonzero(red.survived))
             if log:
-                log.write("tree,edge_child,offset\n")
-            for lo, trees in _read_chunks(args.infile):
-                pf = pr.PrunedForest(trees, spec.phi, spec.threshold)
-                _write_forest(_survivors(pf), out)
-                if log:
-                    fa = pf.fa
-                    rows = zip((lo + fa.slots[pf.cut_slot]).tolist(),
-                               fa.local_id[pf.cut_idx].tolist(), pf.cut_piece.tolist())
-                    for row in rows:
-                        log.write(",".join(map(str, row)) + "\n")
-                n += len(trees)
-                survived += int(pf.survived.sum())
-        print(f"survived {survived}/{n}")
-        return 0
+                fa = red.fa
+                rows = zip((lo + fa.slots[red.cut_slot]).tolist(),
+                           fa.local_id[red.cut_idx].tolist(), red.cut_piece.tolist())
+                log.writelines(",".join(map(str, row)) + "\n" for row in rows)
+            n += len(trees)
+            survived += int(red.survived.sum())
+    print(f"survived {survived}/{n}")
 
-    if verb == "color":
-        spec = _spec_from(args)
-        n = survived = 0
-        with open(args.out, "w") as out:
-            for lo, trees in _read_chunks(args.infile):
-                # tree i of the file draws from the stream (seed, i) in domain 7
-                cf = pr.color_forest(trees, spec.p, spec.seed, replicate0=lo, domain=7)
-                _write_forest(_survivors(cf), out)
-                n += len(trees)
-                survived += int(cf.survived.sum())
-        print(f"survived {survived}/{n}")
-        return 0
 
-    if verb == "dist":
-        try:
-            lo, hi, step = map(float, args.x_grid.split(":"))
-        except ValueError:
-            lo = hi = step = float("nan")
-        if not (math.isfinite(lo + hi + step) and lo <= hi and step > 0):
-            print(f"igwlab dist: --x-grid {args.x_grid!r} is not lo:hi:step "
-                  "with lo <= hi and step > 0", file=sys.stderr)
-            return 2
-        xs = np.arange(lo, hi + step / 2, step)
-        rows = []
-        try:
-            for x in xs.tolist():
-                if args.law == "height":
-                    rows.append((x, ana.height_cdf(args.q, args.lam, x)))
-                elif args.law == "length":
-                    rows.append((x, ana.length_cdf(args.q, args.lam, x,
-                                                   prec_bits=args.prec_bits)))
-                else:
-                    n = max(int(x), 1)
-                    rows.append((n, float(ana.size_cdf(args.q, n, prec_bits=args.prec_bits))))
-        except (ValueError, ana.CancellationError) as e:
-            print(f"igwlab dist {args.law}: {e}", file=sys.stderr)
-            return 2
-        lines = ["x,cdf"] + [f"{x!r},{v!r}" for x, v in rows]
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+def _prune(spec, args):
+    if spec.threshold is None or spec.threshold <= 0:
+        raise ValueError("a positive threshold --t is required")
+    _reduce_file(args, lambda trees, lo: pr.PrunedForest(trees, spec.phi, spec.threshold))
+
+
+def _color(spec, args):
+    # tree i of the file draws from the stream (seed, i) in domain 7
+    _reduce_file(args, lambda trees, lo: pr.color_forest(trees, spec.p, spec.seed,
+                                                         replicate0=lo, domain=7))
+
+
+def _dist(spec, args):
+    try:
+        lo, hi, step = map(float, args.x_grid.split(":"))
+    except ValueError:
+        lo = hi = step = float("nan")
+    if not (math.isfinite(lo + hi + step) and lo <= hi and step > 0):
+        raise ValueError(f"--x-grid {args.x_grid!r} is not lo:hi:step "
+                         "with lo <= hi and step > 0")
+    prec_bits = args.prec_bits or 0
+    rows = []
+    for x in np.arange(lo, hi + step / 2, step).tolist():
+        if args.mode == "height":
+            rows.append((x, ana.height_cdf(args.q, spec.lam, x)))
+        elif args.mode == "length":
+            rows.append((x, ana.length_cdf(args.q, spec.lam, x, prec_bits=prec_bits)))
         else:
-            print("\n".join(lines))
-        return 0
+            n = max(int(x), 1)
+            rows.append((n, float(ana.size_cdf(args.q, n, prec_bits=prec_bits))))
+    with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(["x,cdf"] + [f"{x!r},{v!r}" for x, v in rows]) + "\n")
 
-    if verb == "verify":
-        spec = _spec_from(args)
-        fn = {"height": xp.run_verify_height, "length": xp.run_verify_length,
-              "size": xp.run_verify_size}[args.law]
-        rep = fn(spec)
-        print(rep)
-        return 0 if rep.passed else 1
 
-    if verb == "invariance":
-        spec = _spec_from(args)
-        out = xp.run_invariance(spec)
-        print(out["offspring"])
-        print(out["rate"])
-        return 0 if (out["offspring"].passed and out["rate"].passed) else 1
+def _shown(rep):
+    print(rep)
+    return rep
 
-    if verb == "falsify":
-        rep = xp.run_uniqueness_falsification(_spec_from(args))
-        print(rep)
-        return 0 if rep.passed else 1
 
-    if verb == "thinning":
-        rep = xp.run_thinning(_spec_from(args))
-        print(rep)
-        return 0 if rep.passed else 1
+def _invariance(spec, args):
+    out = xp.run_invariance(spec)
+    print(out["offspring"])
+    print(out["rate"])
+    return out
 
-    if verb == "coloring":
-        out = xp.run_coloring(_spec_from(args))
-        print(out["survival"])
-        print(out["thinned"])
-        print("variant adjudication:", out["adjudication"])
-        return 0 if out["passed"] else 1
 
-    if verb == "semigroup":
-        out = xp.run_semigroup(_spec_from(args))
-        for phi in ("height", "ord", "length"):
-            print(phi, json.dumps(out[phi]))
-        return 0 if out["passed"] else 1
+def _coloring(spec, args):
+    out = xp.run_coloring(spec)
+    print(out["survival"])
+    print(out["thinned"])
+    print("variant adjudication:", out["adjudication"])
+    return out
 
-    if verb == "attractor":
-        spec = _spec_from(args)
-        if args.mode == "gf":
-            out = xp.run_attractor_gf(spec)
-            for row in out["rows"]:
-                print(json.dumps(row))
-            print(f"g0 -> {out['g0_final']:.5f} expected {out['g0_expected']:.5f}")
-        else:
-            out = xp.run_attractor_mc(spec, iterations=args.iterations)
-            print(json.dumps(out, indent=2, default=str))
-        return 0 if out["passed"] else 1
 
-    if verb == "report":
-        with open(args.path) as fh:
-            for line in fh:
-                d = json.loads(line)
-                print(("PASS" if d["passed"] else "FAIL"),
-                      d["test"], d["statistic"], "<=", d["threshold"])
-        return 0
+def _semigroup(spec, args):
+    out = xp.run_semigroup(spec)
+    for phi in ("height", "ord", "length"):
+        print(phi, json.dumps(out[phi]))
+    return out
 
-    raise AssertionError(verb)
+
+def _attractor(spec, args):
+    if args.mode == "gf":
+        out = xp.run_attractor_gf(spec)
+        for row in out["rows"]:
+            print(json.dumps(row))
+        print(f"g0 -> {out['g0_final']:.5f} expected {out['g0_expected']:.5f}")
+    else:
+        out = xp.run_attractor_mc(spec, iterations=args.iterations)
+        print(json.dumps(out, indent=2, default=str))
+    return out
+
+
+def _report(spec, args):
+    with open(args.path) as fh:
+        for line in fh:
+            d = json.loads(line)
+            print(("PASS" if d["passed"] else "FAIL"),
+                  d["test"], d["statistic"], "<=", d["threshold"])
+
+
+# every option by the name it is read under: (flags, argparse keywords).  A
+# spec field takes its type from ExperimentSpec; max_censor_rate and chunk
+# have no flag and are set in config files only.  Empty flags: a positional.
+_OPTIONS = {
+    "config": (["--config"], dict(help="key = value file; it may set any spec field")),
+    "dist": (["--dist"], dict(help="offspring law spec, e.g. igw:0.5")),
+    "lam": (["--lam", "--lambda"], dict(help="edge rate")),
+    "phi": (["--phi"], dict(choices=["height", "length", "leaves", "ord"])),
+    "threshold": (["--threshold", "--t"], {}), "survival_target": (["--survival-target"], {}),
+    "n": (["--n"], {}), "seed": (["--seed"], {}), "budget": (["--budget"], {}),
+    "p": (["--p"], dict(help="coloring parameter")), "alpha": (["--alpha"], {}),
+    "infile": (["--in"], dict(required=True)),
+    "out": (["--out"], dict(required=True, help="output file; sample writes stats to *.json")),
+    "log": (["--log"], dict(help="CSV of interior cut points")),
+    "q": (["--q"], dict(type=float, required=True)),
+    "x_grid": (["--x-grid"], dict(default="0:10:0.1", help="lo:hi:step")),
+    "prec_bits": (["--prec-bits"], dict(type=int, help="0 = automatic (default), else >= 53")),
+    "csv": (["--out"], dict(help="CSV path (default stdout)")),
+    "iterations": (["--iterations"], dict(type=int, help="leaf-pruning rounds, phi ord")),
+    "path": ([], {}),
+}
+
+_FOREST = ("config", "dist", "lam", "n", "seed", "budget")
+_PRUNED = _FOREST + ("phi", "threshold", "survival_target", "chunk")
+_VERIFY = ("config", "dist", "n", "seed", "budget", "alpha")
+_VERIFY_RUNS = {"height": xp.run_verify_height, "length": xp.run_verify_length,
+                "size": xp.run_verify_size}
+
+# verb -> (handler, help, {mode: the options it reads}); mode None: no modes
+_VERBS = {
+    "sample": (_sample, "draw random trees", {None: _FOREST + ("out",)}),
+    "prune": (_prune, "generalized dynamical pruning of a forest",
+              {None: ("config", "phi", "threshold", "infile", "out", "log")}),
+    "color": (_color, "Bernoulli leaf coloring of a forest",
+              {None: ("config", "p", "seed", "infile", "out")}),
+    "dist": (_dist, "closed-form law values on a grid", {
+        "height": ("q", "lam", "x_grid", "csv"),
+        "length": ("q", "lam", "x_grid", "prec_bits", "csv"),
+        "size": ("q", "x_grid", "prec_bits", "csv")}),
+    "verify": (lambda spec, args: _shown(_VERIFY_RUNS[args.mode](spec)),
+               "distribution-law Monte Carlo checks", {
+                   "height": _VERIFY + ("lam", "max_censor_rate"),
+                   "length": _VERIFY + ("lam", "max_censor_rate"), "size": _VERIFY}),
+    "invariance": (_invariance, "pruned invariant laws keep their law",
+                   {None: _PRUNED + ("alpha",)}),
+    "falsify": (lambda spec, args: _shown(xp.run_uniqueness_falsification(spec)),
+                "pruning changes a non-invariant law", {None: _PRUNED + ("alpha",)}),
+    "thinning": (lambda spec, args: _shown(xp.run_thinning(spec)),
+                 "binomial thinning at the first branch point", {None: _PRUNED + ("alpha",)}),
+    "coloring": (_coloring, "survival and offspring law under Bernoulli coloring",
+                 {None: ("config", "dist", "p", "n", "seed", "budget", "alpha", "chunk")}),
+    "semigroup": (_semigroup, "composition of pruning per functional",
+                  {None: _FOREST + ("chunk",)}),
+    "attractor": (_attractor, "pushforward limits (gf) or Monte Carlo (mc)", {
+        "gf": ("config", "dist"), "mc": _PRUNED + ("iterations",)}),
+    "report": (_report, "re-emit a JSON-lines report as text", {None: ("path",)}),
+}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(prog="igwlab", description=__doc__)
+    sub = ap.add_subparsers(dest="verb", required=True)
+    parsers = {}
+    for verb, (_, help_, modes) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_, allow_abbrev=False)
+        if None not in modes:
+            p.add_argument("mode", choices=list(modes))
+        names = list(dict.fromkeys(sum(modes.values(), ())))
+        for name in filter(_OPTIONS.__contains__, names):
+            flags, kw = _OPTIONS[name]
+            if flags:
+                p.add_argument(*flags, dest=name, **{"type": _SPEC_TYPES.get(name), **kw})
+            else:
+                p.add_argument(name, **kw)
+        parsers[verb] = p, names
+    args = ap.parse_args(argv)
+    run, _, modes = _VERBS[args.verb]
+    mode = getattr(args, "mode", None)
+    label = f"{args.verb} {mode}" if mode else args.verb
+    p, names = parsers[args.verb]
+    for name in names:
+        # flags of another mode; an unset flag is None
+        if name not in modes[mode] and getattr(args, name, None) is not None:
+            p.error(f"{_OPTIONS[name][0][0]} is not read by {label}")
+    try:
+        out = run(_spec_from(args), args)
+    except (ValueError, ana.CancellationError) as e:
+        print(f"igwlab {label}: {e}", file=sys.stderr)
+        return 2
+    return 0 if out is None or xp.passed(out) else 1
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ __all__ = [
     "run_coloring",
     "run_semigroup",
     "majority",
+    "passed",
     "threshold_for_survival",
     "LENGTH_SEMIGROUP_COUNTEREXAMPLE",
 ]
@@ -345,7 +346,8 @@ def run_invariance(spec: ExperimentSpec) -> dict:
         statistic=abs(ratio - 1.0), threshold=0.02, passed=abs(ratio - 1.0) <= 0.02,
         n=len(lens), details=details,
     )
-    return {"offspring": shape_rep, "rate": rate_rep, "threshold": t, "summary": s}
+    return {"offspring": shape_rep, "rate": rate_rep, "threshold": t, "summary": s,
+            "passed": shape_rep.passed and rate_rep.passed}
 
 
 def run_uniqueness_falsification(spec: ExperimentSpec) -> gof.GofReport:
@@ -468,12 +470,14 @@ def run_attractor_mc(spec: ExperimentSpec, iterations: int | None = None) -> dic
     """Monte Carlo attractor check: prune deep, compare small-shape
     frequencies of survivors to the predicted limit family member.
 
-    For phi = "ord" the pruning is iterated leaf pruning (``iterations``
-    rounds); otherwise a single threshold (spec.threshold or calibrated to
-    spec.survival_target).
+    With ``iterations`` the pruning is that many rounds of leaf pruning,
+    which needs phi = "ord"; otherwise a single threshold (spec.threshold or
+    calibrated to spec.survival_target).
     """
+    if iterations is not None and spec.phi != "ord":
+        raise ValueError(f"rounds of leaf pruning need phi ord, not {spec.phi}")
     qstar = estimate_L(spec.distribution()).attractor_q
-    if spec.phi == "ord" and iterations is not None:
+    if iterations is not None:
         t0 = float(iterations)  # k rounds of leaf pruning = ord threshold k
         tlabel = f"R^{iterations}"
     else:
@@ -568,31 +572,29 @@ _SEMIGROUP_ATOL = 1e-9
 
 def run_semigroup(spec: ExperimentSpec) -> dict:
     """Composition law of the pruning operator per functional, on spec.n
-    sampled trees.
+    sampled trees, one chunk in memory at a time.
 
     height: S_t o S_s = S_(s+t) exactly (continuous semigroup); ord with
     integer thresholds: discrete semigroup; length: fails, and both a fixed
-    counterexample and a random search report one.
+    counterexample and a random search report one (its rank among live trees).
     """
-    d = spec.distribution()
     (s, t2), atol = _SEMIGROUP_STEPS, _SEMIGROUP_ATOL
-    results = {}
-    trees, _ = smp.sample_forest(d, spec.seed, spec.n, budget=spec.budget, lam=spec.lam)
-    live = [t for t in trees if t is not None]
-    for phi, (a, b) in {"height": (s, t2), "ord": (1.0, 1.0)}.items():
-        bad = 0
-        for t in live:
-            eq, _, _ = pr.semigroup_check(t, phi, a, b, atol)
-            bad += not eq
-        results[phi] = {"checked": len(live), "violations": bad, "passed": bad == 0}
+    steps = {"height": (s, t2), "ord": (1.0, 1.0)}
+    bad = dict.fromkeys(steps, 0)
+    checked = 0
+    found = None
+    for forest, _ in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
+                                     budget=spec.budget, lam=spec.lam, chunk=spec.chunk):
+        for t in forest.live():
+            for phi, (a, b) in steps.items():
+                bad[phi] += not pr.semigroup_check(t, phi, a, b, atol)[0]
+            if found is None and not pr.semigroup_check(t, "length", s, t2, atol)[0]:
+                found = checked
+            checked += 1
+    results = {phi: {"checked": checked, "violations": v, "passed": v == 0}
+               for phi, v in bad.items()}
     fixed = from_newick(LENGTH_SEMIGROUP_COUNTEREXAMPLE)
     eq_fixed, two, one = pr.semigroup_check(fixed, "length", 1.0, 1.0, atol)
-    found = None
-    for i, t in enumerate(live):
-        eq, _, _ = pr.semigroup_check(t, "length", s, t2, atol)
-        if not eq:
-            found = i
-            break
     results["length"] = {
         "fixed_counterexample": LENGTH_SEMIGROUP_COUNTEREXAMPLE,
         "fixed_violates": not eq_fixed,
@@ -610,14 +612,18 @@ def run_semigroup(spec: ExperimentSpec) -> dict:
 # --------------------------------------------------------------------- #
 
 
+def passed(out) -> bool:
+    """The verdict of an experiment's result: a GofReport or a dict with "passed"."""
+    return bool(out.passed if isinstance(out, gof.GofReport) else out["passed"])
+
+
 def majority(fn, spec: ExperimentSpec, seeds=(1, 2, 3, 4, 5)):
     """Run an experiment whose result has a boolean verdict over several
     seeds; majority vote suppresses the 1%-level flake rate."""
     outcomes = []
     for s in seeds:
         out = fn(spec.with_(seed=spec.seed + s))
-        passed = out.passed if isinstance(out, gof.GofReport) else out["passed"]
-        outcomes.append((s, bool(passed), out))
+        outcomes.append((s, passed(out), out))
     votes = sum(1 for _, p, _ in outcomes if p)
     return votes * 2 > len(outcomes), outcomes
 

@@ -78,6 +78,9 @@ def stream_keys(seed: int, replicates: np.ndarray) -> np.ndarray:
     replicates = np.asarray(replicates)
     if replicates.size and replicates.min() < 0:
         raise ValueError("replicate index must be >= 0")
+    if replicates.ndim == 0:
+        # numpy does 0-d arithmetic on scalars, which warn on the intended wrap
+        return np.uint64(stream_key(seed, int(replicates)))
     z = (replicates.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
     z = z + np.uint64(seed & _U64_MASK)
     z ^= z >> np.uint64(30)

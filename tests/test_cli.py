@@ -1,0 +1,162 @@
+"""The verb table: each verb and mode takes exactly the spec flags it reads.
+
+``CASES`` holds the contract, written out here rather than read from the
+table: a spec flag outside it must fail in the parser (exit 2, the flag
+named on stderr, no file written).  The drift guard checks the table
+against the experiments: a spec field a verb does not declare cannot
+change its result.
+"""
+
+import argparse
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from igwlab import cli
+from igwlab import experiments as xp
+from igwlab.cli import main as cli_main
+
+# spec field -> the flag and a valid value; config files take every field
+FLAGS = {
+    "config": ["--config", "spec.cfg"], "dist": ["--dist", "binary"], "lam": ["--lam", "2"],
+    "phi": ["--phi", "length"], "threshold": ["--threshold", "2"],
+    "survival_target": ["--survival-target", "0.3"], "n": ["--n", "50"],
+    "seed": ["--seed", "5"], "budget": ["--budget", "100"], "p": ["--p", "0.7"],
+    "alpha": ["--alpha", "0.05"],
+}
+FOREST = "config dist lam n seed budget"
+PRUNED = FOREST + " phi threshold survival_target"
+VERIFY = "config dist n seed budget alpha"
+
+# (verb, mode) -> a valid invocation without spec flags, and the spec flags it reads
+CASES = {
+    ("sample", None): (["sample", "--out", "trees.newick"], FOREST),
+    ("prune", None): (["prune", "--in", "forest.newick", "--out", "pruned.newick",
+                       "--log", "cuts.csv"], "config phi threshold"),
+    ("color", None): (["color", "--in", "forest.newick", "--out", "colored.newick"],
+                      "config p seed"),
+    ("dist", "height"): (["dist", "height", "--q", "0.5", "--out", "cdf.csv"], "lam"),
+    ("dist", "length"): (["dist", "length", "--q", "0.5", "--out", "cdf.csv"], "lam"),
+    ("dist", "size"): (["dist", "size", "--q", "0.5", "--out", "cdf.csv"], ""),
+    ("verify", "height"): (["verify", "height"], VERIFY + " lam"),
+    ("verify", "length"): (["verify", "length"], VERIFY + " lam"),
+    ("verify", "size"): (["verify", "size"], VERIFY),
+    ("invariance", None): (["invariance"], PRUNED + " alpha"),
+    ("falsify", None): (["falsify"], PRUNED + " alpha"),
+    ("thinning", None): (["thinning"], PRUNED + " alpha"),
+    ("coloring", None): (["coloring"], "config dist p n seed budget alpha"),
+    ("semigroup", None): (["semigroup"], FOREST),
+    ("attractor", "gf"): (["attractor", "gf"], "config dist"),
+    ("attractor", "mc"): (["attractor", "mc"], PRUNED),
+    ("report", None): (["report", "reports.jsonl"], ""),
+}
+UNREAD = [(case, f) for case, (_, reads) in CASES.items() for f in FLAGS
+          if f not in reads.split()]
+
+
+def _label(case):
+    return " ".join(filter(None, case))
+
+
+def test_spec_flag_pairs():
+    """Each of the 10 verbs that take --config took all 11 spec flags: 110
+    (verb, flag) pairs, --config counted."""
+    pairs = {(verb, f) for verb, (_, _, modes) in cli._VERBS.items()
+             for reads in modes.values() if "config" in reads for f in reads if f in FLAGS}
+    assert len({verb for verb, _ in pairs}) == 10 and len(pairs) == 71
+
+
+@pytest.mark.parametrize("case", CASES, ids=_label)
+def test_table_declares_the_contract(case):
+    verb, mode = case
+    declared = cli._VERBS[verb][2][mode]
+    assert sorted(f for f in declared if f in FLAGS) == sorted(CASES[case][1].split())
+
+
+@pytest.mark.parametrize("case,field", UNREAD, ids=lambda x: x if isinstance(x, str)
+                         else _label(x))
+def test_unread_flag_is_a_usage_error(case, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forest.newick").write_text("((:1,:3):1);\n")
+    (tmp_path / "reports.jsonl").write_text("")
+    # a tiny spec, so that a flag accepted by mistake fails the test quickly
+    (tmp_path / "spec.cfg").write_text("n = 20\nbudget = 50\n")
+    before = set(os.listdir("."))
+    argv, reads = CASES[case]
+    if "config" in reads.split():
+        argv = [*argv, *FLAGS["config"]]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, *FLAGS[field]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{FLAGS[field][0]} " in err.splitlines()[-1] + " "
+    assert set(os.listdir(".")) == before
+
+
+def test_iterations_need_phi_ord(capsys):
+    """--iterations used to be ignored unless --phi was ord."""
+    assert cli_main(["attractor", "mc", "--phi", "height", "--iterations", "3",
+                     "--n", "50"]) == 2
+    assert "phi ord" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# Drift guard                                                             #
+# --------------------------------------------------------------------- #
+
+COMMON = dict(n=400, budget=300, seed=11, chunk=128)
+EXPERIMENTS = {
+    ("verify", "height"): dict(dist="igw:0.5", max_censor_rate=1.0),
+    ("verify", "length"): dict(dist="igw:0.5", max_censor_rate=1.0),
+    ("verify", "size"): dict(dist="igw:0.5"),
+    ("invariance", None): dict(dist="igw:0.5", phi="height"),
+    ("falsify", None): dict(dist="zipf:1.5", phi="length", threshold=2.0),
+    ("thinning", None): dict(dist="binary", phi="length"),
+    ("coloring", None): dict(dist="binary", p=0.5),
+    ("semigroup", None): dict(dist="igw:0.5", n=40, budget=100),
+    ("attractor", "gf"): dict(dist="geom:0.5"),
+    ("attractor", "mc"): dict(dist="geom:0.3", phi="length", n=2500),
+}
+# a changed value for every spec field, valid for every experiment above
+OTHER = dict(dist="geom:0.4", lam=2.0, phi="leaves", threshold=3.0, survival_target=0.3,
+             n=300, seed=12, budget=200, p=0.7, max_censor_rate=0.5, alpha=0.05, chunk=7)
+
+
+def _fingerprint(x):
+    """Every number of a result, floats by their bits; arrays in full."""
+    if dataclasses.is_dataclass(x):
+        return _fingerprint(vars(x))
+    if isinstance(x, dict):
+        return tuple((k, _fingerprint(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_fingerprint, x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    return repr(x)
+
+
+def _result(case, spec):
+    verb, mode = case
+    run = cli._VERBS[verb][0]
+    return _fingerprint(run(spec, argparse.Namespace(mode=mode, iterations=None)))
+
+
+@pytest.mark.parametrize("case", EXPERIMENTS, ids=_label)
+def test_undeclared_fields_leave_the_result_unchanged(case):
+    """Coloring declares chunk: under censoring its verdict depends on it."""
+    declared = cli._VERBS[case[0]][2][case[1]]
+    spec = xp.ExperimentSpec(**{**COMMON, **EXPERIMENTS[case]})
+    base = _result(case, spec)
+    undeclared = [f.name for f in dataclasses.fields(spec) if f.name not in declared]
+    assert undeclared
+    for f in undeclared:
+        assert getattr(spec, f) != OTHER[f]
+        assert _result(case, spec.with_(**{f: OTHER[f]})) == base, f
+    # the fingerprint does see a declared field change
+    f = "dist" if case == ("attractor", "gf") else "seed"
+    assert f in declared
+    assert _result(case, spec.with_(**{f: OTHER[f]})) != base

@@ -124,6 +124,12 @@ class TestAttractors:
         assert out["starved"] and not out["passed"]
         assert out["required_n"] > 300
 
+    def test_mc_iterations_need_phi_ord(self):
+        """iterations used to be ignored unless phi was ord."""
+        with pytest.raises(ValueError, match="phi ord"):
+            xp.run_attractor_mc(SPEC.with_(dist="geom:0.5", phi="height", n=300),
+                                iterations=2)
+
     def test_mc_control_family(self):
         """Invariant input: frequencies already match at a mild threshold."""
         out = xp.run_attractor_mc(SPEC.with_(dist="igw:0.66666666666666663",
@@ -190,6 +196,14 @@ class TestMajorityAndReports:
         ok, outcomes = xp.majority(fake, SPEC, seeds=(1, 2, 3, 4))
         assert len(calls) == 4
         assert ok == (sum(s % 2 == 0 for s in [SPEC.seed + i for i in (1, 2, 3, 4)]) > 2)
+
+    def test_majority_of_dict_results(self):
+        """run_invariance had no "passed" entry: majority raised KeyError."""
+        spec = SPEC.with_(phi="height", n=600, budget=300)
+        ok, outcomes = xp.majority(xp.run_invariance, spec, seeds=(1, 2, 3))
+        for _, passed, out in outcomes:
+            assert passed == (out["offspring"].passed and out["rate"].passed)
+        assert ok == (sum(p for _, p, _ in outcomes) >= 2)
 
     def test_save_reports(self, tmp_path):
         reps = [gof.GofReport("a", 1.0, 2.0, True, 10)]

@@ -146,6 +146,13 @@ class TestKeys:
             stream_keys(5, np.array([0, 3, -2]))
         assert stream_keys(5, np.array([], dtype=np.int64)).size == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [np.uint64(7), np.int64(7), np.array(7), 7])
+    def test_zero_d_replicate_wraps_without_warning(self, r):
+        """A 0-d replicate used to emit three overflow RuntimeWarnings."""
+        key = stream_keys(5, r)
+        assert key == stream_key(5, 7) and key.dtype == np.uint64
+
 
 class TestUniforms:
     def test_ranges(self):
