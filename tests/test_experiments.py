@@ -176,6 +176,53 @@ class TestSemigroupExperiment:
         assert out["length"]["fixed_violates"]
         assert out["passed"]
 
+    @staticmethod
+    def _expected(checked, found):
+        """run_semigroup's result with the given tree count and random
+        counterexample index (both functionals pass on every tree)."""
+        ok = {"checked": checked, "violations": 0, "passed": True}
+        return {"height": ok, "ord": ok, "length": {
+            "fixed_counterexample": xp.LENGTH_SEMIGROUP_COUNTEREXAMPLE,
+            "fixed_violates": True, "two_step": "(:0.5999999999999999);",
+            "one_step": "(:1.0);", "random_counterexample_index": found, "passed": True},
+            "passed": True}
+
+    # (dist, seed) at n = 300 and budget 300 -> (live trees, first failing length rank)
+    SMALL = {("igw:0.5", 4): (284, 5), ("binary", 6): (288, 10)}
+
+    @pytest.mark.parametrize("chunk", [7, 64, 8192])
+    @pytest.mark.parametrize("dist,seed", sorted(SMALL))
+    def test_result_pinned_at_every_chunk(self, dist, seed, chunk):
+        out = xp.run_semigroup(xp.ExperimentSpec(dist=dist, seed=seed, n=300, budget=300,
+                                                 chunk=chunk))
+        assert out == self._expected(*self.SMALL[dist, seed])
+
+    def test_result_pinned_on_criterion_11_spec(self):
+        out = xp.run_semigroup(xp.ExperimentSpec(dist="igw:0.5", n=1000, seed=20260810))
+        assert out == self._expected(1000, 0)
+
+    def test_equals_per_tree_oracle(self):
+        """semigroup_check on every live tree gives run_semigroup's
+        violation counts and its first failing length rank."""
+        spec = xp.ExperimentSpec(dist="igw:0.5", seed=4, n=300, budget=300, chunk=64)
+        steps = {"height": (0.3, 0.3), "ord": (1.0, 1.0), "length": (0.3, 0.3)}
+        bad = dict.fromkeys(steps, 0)
+        found = None
+        checked = 0
+        for forest, _ in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
+                                         budget=spec.budget, lam=spec.lam, chunk=spec.chunk):
+            for t in forest.live():
+                for phi, (s, t2) in steps.items():
+                    bad[phi] += not pr.semigroup_check(t, phi, s, t2)[0]
+                if found is None and bad["length"]:
+                    found = checked
+                checked += 1
+        out = xp.run_semigroup(spec)
+        assert bad["length"] > 0
+        assert {phi: (out[phi]["checked"], out[phi]["violations"]) for phi in ("height", "ord")} \
+            == {phi: (checked, bad[phi]) for phi in ("height", "ord")}
+        assert out["length"]["random_counterexample_index"] == found
+
     def test_checks_spec_n_trees(self, capsys):
         """--n was ignored: the verb sampled 1000 trees whatever it said."""
         assert cli_main(["semigroup", "--dist", "igw:0.5", "--n", "20",
