@@ -7,7 +7,7 @@ spec strings (igw:0.5, zipf:1.5, geom:0.5, binary, table:<path>).
 Each verb takes only the flags it reads (``igwlab <verb> --help``).  A flag
 the verb, or the mode of dist, verify or attractor, would ignore is a usage
 error.  Exit code 0 means every verdict in the run passed, 1 that one
-failed, 2 a usage error.
+failed, 2 a usage error or a failed run (which leaves no new output file).
 
 A config file (flat ``key = value`` lines, # comments) given by --config
 may set any experiment spec field, so that one file serves several verbs;
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import typing
 from contextlib import nullcontext
@@ -112,8 +113,7 @@ def _reduce_file(args, reduce):
             log.write("tree,edge_child,offset\n")
         for lo, trees in _read_chunks(args.infile):
             red = reduce(trees, lo)
-            out.writelines(to_newick(red.extract_reduced(s)) + "\n"
-                           for s in np.flatnonzero(red.survived))
+            out.writelines(to_newick(t) + "\n" for t in red.reduced().live())
             if log:
                 fa = red.fa
                 rows = zip((lo + fa.slots[red.cut_slot]).tolist(),
@@ -145,15 +145,14 @@ def _dist(spec, args):
         raise ValueError(f"--x-grid {args.x_grid!r} is not lo:hi:step "
                          "with lo <= hi and step > 0")
     prec_bits = args.prec_bits or 0
-    rows = []
-    for x in np.arange(lo, hi + step / 2, step).tolist():
-        if args.mode == "height":
-            rows.append((x, ana.height_cdf(args.q, spec.lam, x)))
-        elif args.mode == "length":
-            rows.append((x, ana.length_cdf(args.q, spec.lam, x, prec_bits=prec_bits)))
-        else:
-            n = max(int(x), 1)
-            rows.append((n, float(ana.size_cdf(args.q, n, prec_bits=prec_bits))))
+    grid = np.arange(lo, hi + step / 2, step).tolist()
+    if args.mode == "height":
+        rows = [(x, ana.height_cdf(args.q, spec.lam, x)) for x in grid]
+    elif args.mode == "length":
+        rows = [(x, ana.length_cdf(args.q, spec.lam, x, prec_bits=prec_bits)) for x in grid]
+    else:  # each edge count once, however fine the grid
+        rows = [(n, float(ana.size_cdf(args.q, n, prec_bits=prec_bits)))
+                for n in dict.fromkeys(max(int(x), 1) for x in grid)]
     with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
         fh.write("\n".join(["x,cdf"] + [f"{x!r},{v!r}" for x, v in rows]) + "\n")
 
@@ -289,9 +288,14 @@ def main(argv=None) -> int:
         # flags of another mode; an unset flag is None
         if name not in modes[mode] and getattr(args, name, None) is not None:
             p.error(f"{_OPTIONS[name][0][0]} is not read by {label}")
+    # the output files this run would create; a failed run removes them
+    outputs = [f for f in (getattr(args, k, None) for k in ("out", "log", "csv"))
+               if f and not os.path.exists(f)]
     try:
         out = run(_spec_from(args), args)
-    except (ValueError, ana.CancellationError) as e:
+    except (ValueError, OSError, ana.CancellationError) as e:
+        for f in filter(os.path.exists, outputs):
+            os.remove(f)
         print(f"igwlab {label}: {e}", file=sys.stderr)
         return 2
     return 0 if out is None or xp.passed(out) else 1

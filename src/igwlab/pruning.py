@@ -24,8 +24,11 @@ sum-type functionals can keep a vertex whose child edges all die.
 One engine does every reduction on a :class:`~igwlab.trees.Forest`, the
 level-by-level layout the sampler emits (a list of trees is laid out the
 same way): levels are swept with segment reductions, values bottom-up and
-the series reduction of the keep set top-down.  The per-tree functions are
-one-tree calls of it.  Horton pruning removes all leaves; Bernoulli leaf
+the series reduction of the keep set top-down.  The reduced trees leave the
+engine one way, as a forest in the same layout
+(:meth:`ForestReduction.reduced`), so a reduced chunk can be reduced again.
+The per-tree functions are one-tree calls of it and read slot 0 of that
+forest.  Horton pruning removes all leaves; Bernoulli leaf
 coloring keeps the subtree spanning the root and a random leaf subset.
 Hereditary reduction takes an arbitrary predicate: vertices are decided
 exactly and edge cuts by bisection on descendant trees, independently of
@@ -43,7 +46,6 @@ import numpy as np
 
 from .rng import CounterStream
 from .trees import (
-    CombinatorialTree,
     Forest,
     MetricTree,
     TreePoint,
@@ -190,10 +192,10 @@ class ForestReduction:
     Given per-vertex ``keep`` (in the forest's layout, roots included)
     plus optional interior cut points, computes the series-reduced
     structure: anchors (nearest reduced-tree ancestor), merged edge
-    lengths, per-tree edge counts, survival, and the branch degree at the
-    first vertex of each reduced tree.  Chain lengths add in root-to-leaf
-    order.  Cut points (``cut_idx``, ``cut_piece``) are listed tree by
-    tree, each tree's in breadth-first order.
+    lengths, reduced depths, per-tree edge counts, survival, and the branch
+    degree at the first vertex of each reduced tree.  Chain lengths add in
+    root-to-leaf order.  Cut points (``cut_idx``, ``cut_piece``) are listed
+    tree by tree, each tree's in breadth-first order.
     """
 
     def __init__(self, fa: Forest, keep, cutmask=None, cut_piece=None):
@@ -209,6 +211,8 @@ class ForestReduction:
         real[:R] = keep[:R]
         anchor = par.copy()  # level-1 vertices anchor at their root
         acc = ln.copy()
+        depth = np.zeros(V, dtype=np.int32)  # reduced depth: the anchor's, plus 1
+        depth[R:] = 1
         for seg in _levels(fa, 2, fa.ngen, 1):
             if not keep[seg].any():
                 break  # the kept set hangs from the roots: nothing deeper
@@ -216,7 +220,8 @@ class ForestReduction:
             preal = real[p]
             anchor[seg] = np.where(preal, p, anchor[p])
             acc[seg] += np.where(preal, 0.0, acc[p])
-        self.kcnt, self.anchor, self.acc = kcnt, anchor, acc
+            np.add(depth[p], preal, out=depth[seg])
+        self.kcnt, self.anchor, self.acc, self._depth = kcnt, anchor, acc, depth
         cut_idx = cutmask.nonzero()[0]
         cut_tree = fa.tree[cut_idx]
         if R > 1:
@@ -233,7 +238,6 @@ class ForestReduction:
         self.survived = self.red_edges > 0
         if R <= 1:  # one tree is already in its breadth-first order
             self.keep = keep
-            self.red_edge_vertices = real.nonzero()[0]
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -242,81 +246,62 @@ class ForestReduction:
         return self._keep[self.fa.by_tree]
 
     @cached_property
-    def red_edge_vertices(self) -> np.ndarray:
-        """The lower vertex of every uncut reduced edge, tree by tree in
-        breadth-first order."""
-        body = self._body.nonzero()[0]
-        return body[np.argsort(self.fa.tree[body], kind="stable")]
-
-    @cached_property
-    def _body_off(self) -> np.ndarray:
-        off = np.zeros(self.fa.R + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.fa.tree[self.red_edge_vertices], minlength=self.fa.R),
-                  out=off[1:])
-        return off
-
-    @cached_property
     def first_branch(self) -> np.ndarray:
-        """Per live slot: the branch degree at the first vertex of the
-        reduced tree (0 when it is a bare edge)."""
-        fa, keep, kcnt = self.fa, self._keep, self.kcnt
-        R = fa.R
-        # first kept child, to walk degree-2 chains up from the stem
-        fkc = np.full(fa.V, -1, dtype=np.int64)
-        kept_nonroot = R + keep[R:].nonzero()[0]
-        fkc[fa.parent[kept_nonroot]] = kept_nonroot
-        fkc[fa.parent[self.cut_idx]] = -2  # chain runs into a cut leaf
-        out = np.zeros(R, dtype=np.int64)
-        s = self.survived.nonzero()[0]
-        v = fa.first[s]
-        on = keep[v]  # stem cut: a bare edge remains
-        s, v = s[on], v[on]
-        while len(s):  # every surviving chain walks one step per pass
-            k = kcnt[v]
-            done = k != 1
-            out[s[done]] = k[done]
-            s, v = s[~done], fkc[v[~done]]
-            on = v >= 0
-            s, v = s[on], v[on]
+        """Per live slot of a planted tree: the branch degree at the first
+        vertex of the reduced tree (0 when it is a bare edge)."""
+        top = (self._body & (self._depth == 1)).nonzero()[0]  # the reduced stem's upper end
+        out = np.zeros(self.fa.R, dtype=np.int64)
+        out[self.fa.tree[top]] = self.kcnt[top]
         return out
 
     def pooled_lengths(self) -> np.ndarray:
         """Edge lengths of all reduced surviving trees, pooled: every tree's
         uncut edges, tree by tree, then the cut pieces."""
-        return np.concatenate((self.acc[self.red_edge_vertices], self.cut_len_red))
+        body = self._body.nonzero()[0]
+        body = body[np.argsort(self.fa.tree[body], kind="stable")]
+        return np.concatenate((self.acc[body], self.cut_len_red))
+
+    def reduced(self) -> Forest:
+        """The reduced trees as a chunk of the input's slots, ``censored``
+        kept and an empty tree where nothing survived.  Each level is laid
+        out by parent, then by the input's sibling order, a cut leaf just
+        after the last child of its parent there."""
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> Forest:
+        fa, survived, cuts = self.fa, self.survived, self.cut_idx
+        roots = survived.nonzero()[0]  # tree r's root is position r
+        R = len(roots)
+        if not R:
+            return Forest(roots, np.zeros(0), roots, np.zeros(1, dtype=np.int64), roots,
+                          fa.censored, fa.metric, roots)
+        rb = np.concatenate((roots, self._body.nonzero()[0]))  # then the kept vertices
+        v = np.concatenate((rb, cuts))
+        up = np.concatenate((self.anchor[rb], self.cut_parent_red))
+        depth = self._depth[up] + 1
+        depth[:R] = 0
+        # sibling keys: a kept vertex's position; a cut leaf's falls just after
+        # the last child of its parent (parents never decrease past the roots)
+        last = fa.parent[fa.R:].searchsorted(fa.parent[cuts], side="right") + (fa.R - 1)
+        o = np.lexsort((np.concatenate((2 * rb, 2 * last + 1)), depth))
+        level_starts = np.concatenate(([0], np.bincount(depth).cumsum()))
+        newpos = np.empty(fa.V, dtype=np.int64)
+        newpos[roots] = np.arange(R)
+        ls = level_starts.tolist()
+        for lo, hi in zip(ls[1:-1], ls[2:]):  # a level at a time, sorted by parent
+            o[lo:hi] = seg = o[lo:hi][np.argsort(newpos[up[o[lo:hi]]], kind="stable")]
+            newpos[v[seg]] = np.arange(lo, hi)
+        parent = newpos[up[o]]
+        length = np.concatenate((self.acc[rb], self.cut_len_red))[o]
+        # parents never decrease, so the first child of root r is in level 1
+        first = parent[R:].searchsorted(np.arange(R)) + R
+        return Forest(parent, length, newpos[fa.tree[v[o]]], level_starts, fa.slots[roots],
+                      fa.censored, fa.metric, first)
 
     def extract_reduced(self, live_slot: int):
-        """The reduced tree of one live slot.
-
-        Siblings come in the order of the kept tree's breadth-first layout,
-        where a cut leaf follows the last original child of its parent.
-        """
-        fa = self.fa
-        if not self.survived[live_slot]:
-            return MetricTree.empty() if fa.metric else CombinatorialTree.empty()
-        mine, cuts = self.red_edge_vertices, slice(None)
-        if fa.R > 1:  # the tree's kept vertices and cut points
-            mine = mine[slice(*self._body_off[live_slot: live_slot + 2])]
-            cuts = slice(*self.cut_slot.searchsorted([live_slot, live_slot + 1]))
-        up = np.concatenate((self.anchor[mine], self.cut_parent_red[cuts]))
-        w = fa.parent[self.cut_idx[cuts]]
-        m, lpar = mine, fa.parent
-        if fa.R > 1:  # from positions to breadth-first ids within the tree
-            lid = fa.local_id
-            m, up, w = lid[mine], lid[up], lid[w]
-            lpar = lid[fa.parent[fa.by_tree[fa.off[live_slot]: fa.off[live_slot + 1]]]]
-        last = lpar.searchsorted(w, side="right") - 1
-        order = np.argsort(np.concatenate((2 * m, 2 * last + 1)), kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(1, len(order) + 1)
-        new_of = np.zeros(len(lpar), dtype=np.int64)  # reduced ids; the root is 0
-        new_of[m] = rank[:len(m)]
-        parent = np.concatenate(([-1], new_of[up[order]]))
-        length = np.concatenate(([0.0], np.concatenate(
-            (self.acc[mine], self.cut_len_red[cuts]))[order]))
-        if fa.metric:
-            return MetricTree(parent, length, validate=True)
-        return CombinatorialTree(parent, validate=True)
+        """The reduced tree of one live slot: a slot of :meth:`reduced`."""
+        return self.reduced()[int(self.fa.slots[live_slot])]
 
     def scatter(self, per_live, fill=0):
         """Per-live-slot values back onto the original chunk positions."""
@@ -457,7 +442,7 @@ def gdp_prune(t: MetricTree, phi: PhiFunctional | str, threshold: float) -> Prun
         return PrunedResult(t, not t.is_empty, keep=np.ones(t.n_vertices, dtype=bool))
     pf = PrunedForest([t], phi, threshold)
     cuts = tuple(zip(pf.cut_idx.tolist(), pf.cut_piece.tolist()))
-    return PrunedResult(pf.extract_reduced(0), bool(pf.survived[0]), cuts, pf.keep)
+    return PrunedResult(pf.reduced()[0], bool(pf.survived[0]), cuts, pf.keep)
 
 
 def survival_statistic(t: MetricTree, phi: PhiFunctional | str) -> float:
@@ -476,7 +461,7 @@ def horton_prune(t):
         return t
     keep = t.children_counts() > 0
     keep[0] = True
-    return ForestReduction(Forest.from_trees([t]), keep).extract_reduced(0)
+    return ForestReduction(Forest.from_trees([t]), keep).reduced()[0]
 
 
 def bernoulli_color(t: MetricTree, p: float, stream: CounterStream) -> PrunedResult:
@@ -493,7 +478,7 @@ def bernoulli_color(t: MetricTree, p: float, stream: CounterStream) -> PrunedRes
     fa = Forest.from_trees([t])
     leaves = (fa.nchild == 0).nonzero()[0]
     red = _spanning_reduction(fa, leaves[stream.bernoulli(len(leaves), 1.0 - p)])
-    return PrunedResult(red.extract_reduced(0), bool(red.survived[0]), keep=red.keep)
+    return PrunedResult(red.reduced()[0], bool(red.survived[0]), keep=red.keep)
 
 
 # --------------------------------------------------------------------- #
@@ -552,8 +537,7 @@ def hereditary_reduce(t: MetricTree, keep_pred: Callable[[MetricTree], bool], *,
     cutmask = np.zeros(n, dtype=bool)
     cutmask[[c for c, _ in cuts]] = True
     red = ForestReduction(Forest.from_trees([t]), keep, cutmask, np.array([s for _, s in cuts]))
-    tree = red.extract_reduced(0)
-    return PrunedResult(tree, not tree.is_empty, tuple(cuts), keep)
+    return PrunedResult(red.reduced()[0], bool(red.survived[0]), tuple(cuts), keep)
 
 
 # --------------------------------------------------------------------- #

@@ -408,6 +408,8 @@ class Forest(Sequence):
         r = int(np.searchsorted(self.slots, i))
         if r == self.R or self.slots[r] != i:
             return self._not_live(i)
+        if self.R == 1:  # the columns are the tree's breadth-first layout
+            return self._build(self.parent, self.length.copy())
         idx = self.by_tree[self.off[r]: self.off[r + 1]]
         level = np.searchsorted(self.level_starts, idx, side="right") - 1
         return self._build(self.local_id[self.parent[idx]], self.length[idx], level)
@@ -434,12 +436,13 @@ class Forest(Sequence):
             return None
         return MetricTree.empty() if self.metric else CombinatorialTree.empty()
 
-    def _build(self, parent, length, level):
-        """A tree from its parents by breadth-first id, lengths and levels."""
+    def _build(self, parent, length, level=None):
+        """A tree from its parents by breadth-first id, lengths and levels
+        (None: the forest's own, which holds just this tree)."""
         p = parent.astype(np.int32)
         p[0] = -1
-        gs = np.concatenate(([0], np.searchsorted(level, np.arange(1, level[-1] + 1)),
-                             [len(level)]))
+        gs = self.level_starts.copy() if level is None else np.concatenate(
+            ([0], np.searchsorted(level, np.arange(1, level[-1] + 1)), [len(level)]))
         if self.metric:
             return MetricTree(p, length, validate=False, gen_starts=gs)
         return CombinatorialTree(p, validate=False, gen_starts=gs)
@@ -592,7 +595,7 @@ def series_reduce(t):
     from .pruning import ForestReduction
 
     keep = np.ones(t.n_vertices, dtype=bool)
-    return ForestReduction(Forest.from_trees([t]), keep).extract_reduced(0)
+    return ForestReduction(Forest.from_trees([t]), keep).reduced()[0]
 
 
 def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:

@@ -102,6 +102,38 @@ def test_iterations_need_phi_ord(capsys):
     assert "phi ord" in capsys.readouterr().err
 
 
+# each exits 2; they used to leave an empty output file, and a missing
+# --in ended in a traceback
+FAILED_RUNS = {
+    "supercritical-law": ["sample", "--dist", "table:[0.2,0,0.8]", "--n", "5",
+                          "--out", "trees.newick"],
+    "malformed-tree": ["prune", "--phi", "length", "--t", "1", "--in", "bad.newick",
+                       "--out", "pruned.newick", "--log", "cuts.csv"],
+    "missing-input": ["color", "--in", "missing.newick", "--out", "colored.newick"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+def test_failed_run_writes_no_file(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.newick").write_text("((:1,:3):1);\n((:1,:2;\n")
+    before = set(os.listdir("."))
+    argv = FAILED_RUNS[case]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"igwlab {argv[0]}: ")
+    assert set(os.listdir(".")) == before
+
+
+def test_dist_size_prints_each_edge_count_once(capsys):
+    """A grid finer than 1 printed n = 1 four times and n = 2 twice."""
+    assert cli_main(["dist", "size", "--q", "0.5", "--x-grid", "0:3:0.5"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [n for n, _ in rows] == ["x", "1", "2", "3"]
+    assert cli_main(["dist", "size", "--q", "0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(",")[0] for line in rows] == [str(n) for n in range(1, 11)]
+
+
 # --------------------------------------------------------------------- #
 # Drift guard                                                             #
 # --------------------------------------------------------------------- #
