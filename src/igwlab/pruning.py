@@ -275,8 +275,9 @@ class ForestReduction:
         R = len(roots)
         if not R:
             return Forest(roots, np.zeros(0), roots, np.zeros(1, dtype=np.int64), roots,
-                          fa.censored, fa.metric, roots)
-        rb = np.concatenate((roots, self._body.nonzero()[0]))  # then the kept vertices
+                          fa.censored, fa.metric)
+        # the surviving roots, then the lower ends of the uncut reduced edges
+        rb = np.concatenate((roots, self._body.nonzero()[0]))
         v = np.concatenate((rb, cuts))
         up = np.concatenate((self.anchor[rb], self.cut_parent_red))
         depth = self._depth[up] + 1
@@ -294,10 +295,8 @@ class ForestReduction:
             newpos[v[seg]] = np.arange(lo, hi)
         parent = newpos[up[o]]
         length = np.concatenate((self.acc[rb], self.cut_len_red))[o]
-        # parents never decrease, so the first child of root r is in level 1
-        first = parent[R:].searchsorted(np.arange(R)) + R
         return Forest(parent, length, newpos[fa.tree[v[o]]], level_starts, fa.slots[roots],
-                      fa.censored, fa.metric, first)
+                      fa.censored, fa.metric)
 
     def extract_reduced(self, live_slot: int):
         """The reduced tree of one live slot: a slot of :meth:`reduced`."""

@@ -257,9 +257,9 @@ class Forest(Sequence):
     * ``tree``: rank of the vertex's tree among the live trees;
 
     plus ``level_starts`` (level g is ``level_starts[g]:level_starts[g+1]``),
-    ``first`` (per tree, the position of its vertex of breadth-first id 1),
     ``slots`` (the chunk position of each live tree) and the chunk's
-    ``censored`` mask.  Roots are positions ``0..R-1``; in a planted
+    ``censored`` mask; ``first`` (per tree, the position of its vertex of
+    breadth-first id 1) is read off the layout.  Roots are positions ``0..R-1``; in a planted
     forest, such as every sampled one, the stems' upper vertices follow as
     ``R..2R-1``.
 
@@ -269,7 +269,7 @@ class Forest(Sequence):
     """
 
     def __init__(self, parent, length, tree, level_starts, slots, censored,
-                 metric: bool, first, *, nchild=None, by_tree=None):
+                 metric: bool, *, nchild=None, by_tree=None):
         self.parent = parent
         self.length = length
         self.tree = tree
@@ -277,7 +277,6 @@ class Forest(Sequence):
         self.slots = slots
         self.censored = censored
         self.metric = metric
-        self.first = first
         self.R = len(slots)     # live trees
         self.V = len(parent)    # vertices
         if nchild is not None:
@@ -316,9 +315,7 @@ class Forest(Sequence):
         if not metric:
             length = np.zeros(len(parent))
         slots = np.flatnonzero(~censored)
-        R = len(slots)
-        return cls(parent, length, live_rank[slot], level_starts, slots, censored, metric,
-                   np.arange(R, 2 * R))
+        return cls(parent, length, live_rank[slot], level_starts, slots, censored, metric)
 
     @classmethod
     def from_trees(cls, trees) -> "Forest":
@@ -339,8 +336,7 @@ class Forest(Sequence):
             parent[0] = 0
             return cls(parent, t.length if metric else np.zeros(V),
                        np.zeros(V, dtype=np.int64), t.gen_starts(), slots, censored,
-                       metric, np.ones(1, dtype=np.int64),
-                       nchild=t.children_counts().astype(np.int64))
+                       metric, nchild=t.children_counts().astype(np.int64))
         ns = np.array([t.n_vertices for t in live], dtype=np.int64)
         off = np.zeros(R + 1, dtype=np.int64)
         np.cumsum(ns, out=off[1:])
@@ -358,13 +354,19 @@ class Forest(Sequence):
                   else np.zeros(V))
         return cls(pos[par[order]], length, np.repeat(np.arange(R), ns)[order],
                    np.searchsorted(gen[order], np.arange(ngen + 1)), slots, censored,
-                   metric, pos[off[:-1] + 1], by_tree=pos)
+                   metric, by_tree=pos)
 
     # -- sizes and derived columns ---------------------------------------- #
 
     @property
     def ngen(self) -> int:
         return len(self.level_starts) - 1
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """Per tree, the position of its vertex of breadth-first id 1, the
+        root's first child (parents never decrease past the roots)."""
+        return self.R + np.searchsorted(self.parent[self.R:], np.arange(self.R))
 
     @cached_property
     def nchild(self) -> np.ndarray:
@@ -395,8 +397,7 @@ class Forest(Sequence):
         """The same columns as a chunk of the R live trees, tree r in slot r."""
         R = self.R
         return Forest(self.parent, self.length, self.tree, self.level_starts,
-                      np.arange(R, dtype=np.int64), np.zeros(R, dtype=bool), self.metric,
-                      self.first)
+                      np.arange(R, dtype=np.int64), np.zeros(R, dtype=bool), self.metric)
 
     # -- the sequence of trees --------------------------------------------- #
 
