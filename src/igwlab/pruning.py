@@ -288,12 +288,14 @@ class ForestReduction:
         o = np.lexsort((np.concatenate((2 * rb, 2 * last + 1)), depth))
         level_starts = np.concatenate(([0], np.bincount(depth).cumsum()))
         newpos = np.empty(fa.V, dtype=np.int64)
-        newpos[roots] = np.arange(R)
-        ls = level_starts.tolist()
-        for lo, hi in zip(ls[1:-1], ls[2:]):  # a level at a time, sorted by parent
-            o[lo:hi] = seg = o[lo:hi][np.argsort(newpos[up[o[lo:hi]]], kind="stable")]
-            newpos[v[seg]] = np.arange(lo, hi)
+        newpos[v[o]] = np.arange(len(o))
         parent = newpos[up[o]]
+        if (parent[R + 1:] < parent[R:-1]).any():  # some level's parents out of order
+            ls = level_starts.tolist()
+            for lo, hi in zip(ls[1:-1], ls[2:]):  # sort each level by parent
+                o[lo:hi] = seg = o[lo:hi][np.argsort(newpos[up[o[lo:hi]]], kind="stable")]
+                newpos[v[seg]] = np.arange(lo, hi)
+            parent = newpos[up[o]]
         length = np.concatenate((self.acc[rb], self.cut_len_red))[o]
         return Forest(parent, length, newpos[fa.tree[v[o]]], level_starts, fa.slots[roots],
                       fa.censored, fa.metric)

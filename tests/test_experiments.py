@@ -202,8 +202,9 @@ class TestSemigroupExperiment:
         assert out == self._expected(1000, 0)
 
     def test_equals_per_tree_oracle(self):
-        """semigroup_check on every live tree gives run_semigroup's
-        violation counts and its first failing length rank."""
+        """semigroup_check on every live tree gives the chunk's verdicts tree
+        by tree, run_semigroup's violation counts and its first failing
+        length rank."""
         spec = xp.ExperimentSpec(dist="igw:0.5", seed=4, n=300, budget=300, chunk=64)
         steps = {"height": (0.3, 0.3), "ord": (1.0, 1.0), "length": (0.3, 0.3)}
         bad = dict.fromkeys(steps, 0)
@@ -211,12 +212,14 @@ class TestSemigroupExperiment:
         checked = 0
         for forest, _ in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
                                          budget=spec.budget, lam=spec.lam, chunk=spec.chunk):
-            for t in forest.live():
-                for phi, (s, t2) in steps.items():
-                    bad[phi] += not pr.semigroup_check(t, phi, s, t2)[0]
-                if found is None and bad["length"]:
-                    found = checked
-                checked += 1
+            live = forest.live()
+            for phi, (s, t2) in steps.items():
+                per_tree = [pr.semigroup_check(t, phi, s, t2)[0] for t in live]
+                assert list(xp._composes(live, phi, s, t2, 1e-9)) == per_tree
+                if phi == "length" and found is None and not all(per_tree):
+                    found = checked + per_tree.index(False)
+                bad[phi] += per_tree.count(False)
+            checked += live.R
         out = xp.run_semigroup(spec)
         assert bad["length"] > 0
         assert {phi: (out[phi]["checked"], out[phi]["violations"]) for phi in ("height", "ord")} \
