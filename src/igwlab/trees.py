@@ -90,10 +90,8 @@ class CombinatorialTree:
 
     def __init__(self, parent, *, validate: bool = True, gen_starts=None):
         parent = np.ascontiguousarray(parent, dtype=np.int32)
-        if validate:
-            parent, order = _bfs_normalize(parent)
-            if gen_starts is not None:
-                gen_starts = None  # ordering may have changed
+        if validate:  # the ordering may change
+            parent, gen_starts = _bfs_normalize(parent)[0], None
         self.parent = parent
         self.parent.setflags(write=False)
         if gen_starts is not None:
@@ -147,14 +145,6 @@ class CombinatorialTree:
             self._gen_starts.setflags(write=False)
         return self._gen_starts
 
-    def children_table(self):
-        """(order, starts): vertex ids grouped by parent, CSR layout."""
-        n = self.n_vertices
-        order = np.argsort(self.parent[1:], kind="stable").astype(np.int64) + 1
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.parent[1:], minlength=n), out=starts[1:])
-        return order, starts
-
     # -- shape identity ---------------------------------------------------- #
 
     def canonical_code(self) -> bytes:
@@ -196,11 +186,9 @@ class MetricTree(CombinatorialTree):
             raise ValueError("parent and length arrays must have equal shape")
         if validate:
             parent, order = _bfs_normalize(parent)
-            length = length[order]
-            gen_starts = None
-            if parent.shape[0] > 1:
-                if not np.isfinite(length[1:]).all() or (length[1:] <= 0.0).any():
-                    raise ValueError("edge lengths must be finite and > 0")
+            length, gen_starts = length[order], None
+            if not ((0.0 < length[1:]) & (length[1:] < np.inf)).all():
+                raise ValueError("edge lengths must be finite and > 0")
         length[0] = 0.0
         CombinatorialTree.__init__(self, parent, validate=False, gen_starts=gen_starts)
         self.length = length
@@ -458,7 +446,10 @@ def _bfs_normalize(parent: np.ndarray):
     """Relabel vertices breadth-first; return (new_parent, old_order).
 
     Validates that the array encodes exactly one root and a connected
-    acyclic parent structure.
+    acyclic parent structure.  Only parent arrays handed in from outside
+    the package (``validate=True``) come through here: the sampler, the
+    pruning engine, the Newick reader and :func:`descendant_subtree` lay
+    their trees out breadth-first as they build them.
     """
     n = parent.shape[0]
     roots = (parent < 0).nonzero()[0]
@@ -608,6 +599,9 @@ def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:
       part of that edge.
     * ``x`` = an internal vertex: stemless tree (the vertex with all of its
       descendant subtrees).
+
+    The subtree is cut out of the breadth-first layout as one contiguous
+    run of vertices per level, so it is breadth-first as cut.
     """
     if not isinstance(t, MetricTree):
         raise TypeError("descendant_subtree expects a MetricTree")
@@ -630,31 +624,19 @@ def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:
     nc = t.children_counts()
     if nc[v] == 0 and stem is None:
         return MetricTree.empty()
-    # gather descendants of v (including v) in BFS order
-    order, starts = t.children_table()
-    idx = [v]
-    head = 0
-    while head < len(idx):
-        w = idx[head]
-        idx.extend(order[starts[w]: starts[w + 1]].tolist())
-        head += 1
-    old = np.asarray(idx, dtype=np.int64)
-    new_of = {int(o): i for i, o in enumerate(old)}
-    parent = np.empty(len(old) + (1 if stem is not None else 0), dtype=np.int32)
-    length = np.zeros_like(parent, dtype=np.float64)
-    off = 0
-    if stem is not None:
-        # cut point becomes the root; v hangs below it by the partial edge
-        parent[0] = -1
-        off = 1
-    for i, o in enumerate(old):
-        parent[i + off] = -1 if i == 0 else new_of[int(t.parent[o])] + off
-        length[i + off] = 0.0 if i == 0 else t.length[o]
-    if stem is not None:
-        parent[1] = 0
-        length[1] = stem
-        parent[0] = -1
-    return MetricTree(parent, length, validate=True)
+    st = np.r_[1, 1 + np.cumsum(nc)]   # the children of u are st[u]..st[u + 1] - 1
+    lo, hi = [v], [v + 1]   # v's descendants, one run of vertices per level
+    while st[hi[-1]] > st[lo[-1]]:
+        lo.append(st[lo[-1]])
+        hi.append(st[hi[-1]])
+    lo, size = np.array(lo), np.subtract(hi, lo)
+    k = int(stem is not None)   # a stem puts the cut point above v
+    gs = np.concatenate((np.arange(k + 1), k + np.cumsum(size)))
+    d = lo - gs[k:-1]                 # old id - new id, level by level
+    old = np.arange(k + 1, gs[-1]) + np.repeat(d[1:], size[1:])
+    parent = np.r_[np.arange(-1, k), t.parent[old] - np.repeat(d[:-1], size[1:])]
+    length = np.r_[0.0, [stem] * k, t.length[old]]
+    return MetricTree(parent, length, validate=False, gen_starts=gs)
 
 
 def almost_isometric(t1: MetricTree, t2: MetricTree, atol: float = 1e-9) -> bool:
