@@ -7,7 +7,7 @@ spec strings (igw:0.5, zipf:1.5, geom:0.5, binary, table:<path>).
 Each verb takes only the flags it reads (``igwlab <verb> --help``).  A flag
 the verb, or the mode of dist, verify or attractor, would ignore is a usage
 error.  Exit code 0 means every verdict in the run passed, 1 that one
-failed, 2 a usage error or a failed run (which leaves no new output file).
+failed, 2 a usage error or a failed run (which leaves every file as it was).
 
 A config file (flat ``key = value`` lines, # comments) given by --config
 may set any experiment spec field, so that one file serves several verbs;
@@ -66,6 +66,11 @@ def _spec_from(args) -> xp.ExperimentSpec:
 _CHUNK = 4096
 
 
+def _tmp(path):
+    """The file an output is written to until the run succeeds."""
+    return f"{path}.{os.getpid()}.tmp"
+
+
 def _read_chunks(path):
     """(index of the first tree, trees) for each run of ``_CHUNK`` trees of
     a Newick file, one tree per line."""
@@ -90,11 +95,11 @@ def _sample(spec, args):
             "height_mean": None if st.heights is None else float(np.nanmean(st.heights)),
             "length_mean": None if st.lengths is None else float(np.nanmean(st.lengths)),
         }
-        with open(args.out, "w") as fh:
+        with open(_tmp(args.out), "w") as fh:
             json.dump(payload, fh, indent=2)
         return
     ncen = 0
-    with open(args.out, "w") as fh:
+    with open(_tmp(args.out), "w") as fh:
         for forest, cen in smp.iter_forest(d, spec.seed, spec.n, budget=spec.budget,
                                            lam=spec.lam, chunk=_CHUNK):
             fh.writelines(to_newick(t) + "\n" for t in forest.live())
@@ -107,8 +112,8 @@ def _reduce_file(args, reduce):
     """Reduce the forest of --in chunk by chunk with reduce(trees, index of
     the first tree); write the survivors to --out, the cuts to prune's --log."""
     n = survived = 0
-    with open(args.out, "w") as out, \
-            (open(args.log, "w") if getattr(args, "log", None) else nullcontext()) as log:
+    with open(_tmp(args.out), "w") as out, \
+            (open(_tmp(args.log), "w") if getattr(args, "log", None) else nullcontext()) as log:
         if log:
             log.write("tree,edge_child,offset\n")
         for lo, trees in _read_chunks(args.infile):
@@ -153,7 +158,7 @@ def _dist(spec, args):
     else:  # each edge count once, however fine the grid
         rows = [(n, float(ana.size_cdf(args.q, n, prec_bits=prec_bits)))
                 for n in dict.fromkeys(max(int(x), 1) for x in grid)]
-    with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
+    with open(_tmp(args.csv), "w") if args.csv else nullcontext(sys.stdout) as fh:
         fh.write("\n".join(["x,cdf"] + [f"{x!r},{v!r}" for x, v in rows]) + "\n")
 
 
@@ -288,16 +293,18 @@ def main(argv=None) -> int:
         # flags of another mode; an unset flag is None
         if name not in modes[mode] and getattr(args, name, None) is not None:
             p.error(f"{_OPTIONS[name][0][0]} is not read by {label}")
-    # the output files this run would create; a failed run removes them
-    outputs = [f for f in (getattr(args, k, None) for k in ("out", "log", "csv"))
-               if f and not os.path.exists(f)]
+    # outputs are renamed over their paths only when the run succeeds
+    outputs = [f for f in (getattr(args, k, None) for k in ("out", "log", "csv")) if f]
     try:
         out = run(_spec_from(args), args)
+        for f in outputs:
+            os.replace(_tmp(f), f)
     except (ValueError, OSError, ana.CancellationError) as e:
-        for f in filter(os.path.exists, outputs):
-            os.remove(f)
         print(f"igwlab {label}: {e}", file=sys.stderr)
         return 2
+    finally:
+        for f in filter(os.path.exists, map(_tmp, outputs)):
+            os.remove(f)
     return 0 if out is None or xp.passed(out) else 1
 
 

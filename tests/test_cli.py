@@ -124,6 +124,27 @@ def test_failed_run_writes_no_file(case, tmp_path, monkeypatch, capsys):
     assert set(os.listdir(".")) == before
 
 
+@pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+def test_failed_run_keeps_existing_files(case, tmp_path, monkeypatch, capsys):
+    """Each output used to be emptied before the run failed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.newick").write_text("((:1,:3):1);\n((:1,:2;\n")
+    for name in ("trees.newick", "pruned.newick", "cuts.csv", "colored.newick"):
+        (tmp_path / name).write_text("(:1.0);\n")
+    before = {name: (tmp_path / name).read_text() for name in os.listdir(".")}
+    assert cli_main(FAILED_RUNS[case]) == 2
+    capsys.readouterr()
+    assert {name: (tmp_path / name).read_text() for name in os.listdir(".")} == before
+
+
+def test_successful_run_replaces_existing_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trees.newick").write_text("(:1.0);\n")
+    assert cli_main(["sample", "--dist", "binary", "--n", "5", "--out", "trees.newick"]) == 0
+    assert os.listdir(".") == ["trees.newick"]
+    assert len((tmp_path / "trees.newick").read_text().splitlines()) == 5
+
+
 def test_dist_size_prints_each_edge_count_once(capsys):
     """A grid finer than 1 printed n = 1 four times and n = 2 twice."""
     assert cli_main(["dist", "size", "--q", "0.5", "--x-grid", "0:3:0.5"]) == 0
