@@ -93,12 +93,13 @@ def from_newick(text: str) -> MetricTree:
             raise NewickError("trailing characters after tree", pos)
     parent, length, depth = (np.array(c) for c in cols)
     order = np.argsort(depth, kind="stable")   # preorder -> breadth-first
-    parent = np.r_[-1, np.argsort(order)[parent[order[1:]]]]
+    parent = np.argsort(order)[parent[order]]
+    parent[0] = -1
     length = length[order]
     if not ((0.0 < length[1:]) & (length[1:] < np.inf)).all():
         raise ValueError("edge lengths must be finite and > 0")
     return MetricTree(parent, length, validate=False,
-                      gen_starts=np.r_[0, np.cumsum(np.bincount(depth))])
+                      gen_starts=np.cumsum(np.bincount(depth + 1)))
 
 
 def _parse_children(s: str, pos: int, parent: int, depth: int, cols) -> int:

@@ -600,8 +600,7 @@ def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:
     * ``x`` = an internal vertex: stemless tree (the vertex with all of its
       descendant subtrees).
 
-    The subtree is cut out of the breadth-first layout as one contiguous
-    run of vertices per level, so it is breadth-first as cut.
+    It is cut out of the breadth-first layout as one run per level.
     """
     if not isinstance(t, MetricTree):
         raise TypeError("descendant_subtree expects a MetricTree")
@@ -624,8 +623,8 @@ def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:
     nc = t.children_counts()
     if nc[v] == 0 and stem is None:
         return MetricTree.empty()
-    st = np.r_[1, 1 + np.cumsum(nc)]   # the children of u are st[u]..st[u + 1] - 1
-    lo, hi = [v], [v + 1]   # v's descendants, one run of vertices per level
+    st = np.concatenate(([1], 1 + np.cumsum(nc)))   # u's children: st[u]..st[u + 1] - 1
+    lo, hi = [v], [v + 1]   # v's descendants at each level are lo[g]..hi[g] - 1
     while st[hi[-1]] > st[lo[-1]]:
         lo.append(st[lo[-1]])
         hi.append(st[hi[-1]])
@@ -634,8 +633,8 @@ def descendant_subtree(t: MetricTree, x: TreePoint) -> MetricTree:
     gs = np.concatenate((np.arange(k + 1), k + np.cumsum(size)))
     d = lo - gs[k:-1]                 # old id - new id, level by level
     old = np.arange(k + 1, gs[-1]) + np.repeat(d[1:], size[1:])
-    parent = np.r_[np.arange(-1, k), t.parent[old] - np.repeat(d[:-1], size[1:])]
-    length = np.r_[0.0, [stem] * k, t.length[old]]
+    parent = np.concatenate((np.arange(-1, k), t.parent[old] - np.repeat(d[:-1], size[1:])))
+    length = np.concatenate(([0.0] + [stem] * k, t.length[old]))
     return MetricTree(parent, length, validate=False, gen_starts=gs)
 
 
