@@ -39,6 +39,7 @@ from .trees import almost_isometric
 
 __all__ = [
     "ExperimentSpec",
+    "CensorRateError",
     "run_verify_height",
     "run_verify_length",
     "run_verify_size",
@@ -76,8 +77,14 @@ class ExperimentSpec:
     alpha: float = 0.01                  # significance for automated verdicts
     chunk: int = 8192
 
-    def with_(self, **kw) -> "ExperimentSpec":
-        return replace(self, **kw)
+    def __post_init__(self):
+        for name in ("n", "budget", "chunk"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)!r}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, not {self.lam!r}")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must lie in (0, 1), not {self.alpha!r}")
 
     def distribution(self) -> OffspringDistribution:
         return from_spec(self.dist)
@@ -88,6 +95,14 @@ def _require_igw(spec: ExperimentSpec) -> IGW:
     if not isinstance(d, IGW):
         raise ValueError(f"this experiment needs an igw:<q> law, got {spec.dist}")
     return d
+
+
+class CensorRateError(ValueError):
+    """More replicates hit the node budget than the spec allows."""
+
+    def __init__(self, rate: float, bound: float):
+        super().__init__(f"censor rate {rate:g} above bound {bound:g}")
+        self.rate, self.bound = rate, bound
 
 
 def _censor_range(censor_rate: float, quantile):
@@ -108,21 +123,16 @@ def run_verify_height(spec: ExperimentSpec) -> gof.GofReport:
     q = d.q
     st = smp.sample_stats(d, spec.seed, spec.n, budget=spec.budget, lam=spec.lam)
     if st.censor_rate > spec.max_censor_rate:
-        raise RuntimeError(f"censor rate {st.censor_rate:g} above bound")
+        raise CensorRateError(st.censor_rate, spec.max_censor_rate)
     hs = np.sort(st.heights[~st.censored])
     hi = _censor_range(
         st.censor_rate,
         lambda u: ((1.0 - u) ** (-(1.0 - q) / q) - 1.0) / (spec.lam * (1.0 - q)),
     )
-    rng = (0.0, hi) if hi is not None else None
-    D = gof.ks_statistic(hs, lambda x: ana.height_cdf(q, spec.lam, x), rng)
-    thr = gof.ks_threshold(len(hs), spec.alpha)
-    return gof.GofReport(
-        test=f"height-law[{spec.dist},lam={spec.lam:g}]",
-        statistic=D, threshold=thr, passed=D <= thr, n=len(hs),
-        comparison_range=rng,
-        details={"censor_rate": st.censor_rate, "seed": spec.seed},
-    )
+    return gof.ks_report(
+        f"height-law[{spec.dist},lam={spec.lam:g}]", hs,
+        lambda x: ana.height_cdf(q, spec.lam, x), (0.0, hi) if hi is not None else None,
+        alpha=spec.alpha, seed=spec.seed, censor_rate=st.censor_rate)
 
 
 def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
@@ -136,21 +146,17 @@ def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
     q = d.q
     st = smp.sample_stats(d, spec.seed, spec.n, budget=spec.budget, lam=spec.lam)
     if st.censor_rate > spec.max_censor_rate:
-        raise RuntimeError(f"censor rate {st.censor_rate:g} above bound")
+        raise CensorRateError(st.censor_rate, spec.max_censor_rate)
     ls = np.sort(st.lengths[~st.censored])
     hi = ana.length_cdf_grid_limit(q, spec.lam)
     if st.censor_rate > 0:
         tail = 10.0 * st.censor_rate
         hi = min(hi, (1.0 / (tail * (spec.lam * q) ** q * math.gamma(1 - q))) ** (1.0 / q))
-    D = gof.ks_statistic(ls, lambda x: ana.length_cdf_grid(q, spec.lam, x), (0.0, hi))
-    thr = gof.ks_threshold(len(ls), spec.alpha)
-    cov = float(np.searchsorted(ls, hi) / len(ls))
-    return gof.GofReport(
-        test=f"length-law[{spec.dist},lam={spec.lam:g}]",
-        statistic=D, threshold=thr, passed=D <= thr, n=len(ls),
-        comparison_range=(0.0, hi),
-        details={"censor_rate": st.censor_rate, "range_coverage": cov, "seed": spec.seed},
-    )
+    return gof.ks_report(
+        f"length-law[{spec.dist},lam={spec.lam:g}]", ls,
+        lambda x: ana.length_cdf_grid(q, spec.lam, x), (0.0, hi),
+        alpha=spec.alpha, seed=spec.seed, censor_rate=st.censor_rate,
+        range_coverage=float(np.searchsorted(ls, hi) / len(ls)))
 
 
 def run_verify_size(spec: ExperimentSpec) -> gof.GofReport:
@@ -173,13 +179,8 @@ def run_verify_size(spec: ExperimentSpec) -> gof.GofReport:
     st = smp.sample_stats(d, spec.seed, spec.n, budget=spec.budget)
     edges = np.where(st.censored, 10 ** 9, st.edges)  # censored trees: > 30
     obs = np.bincount(np.minimum(edges, 31), minlength=32)
-    stat, dof = gof.chi_square_pmf(obs, expected)
-    thr = gof.chi_square_threshold(dof, spec.alpha)
-    return gof.GofReport(
-        test=f"size-law[{spec.dist}]",
-        statistic=stat, threshold=thr, passed=stat <= thr, n=spec.n,
-        details={"dof": dof, "oracle_checked": exact, "seed": spec.seed},
-    )
+    return gof.chi_square_report(f"size-law[{spec.dist}]", obs, expected, alpha=spec.alpha,
+                                 seed=spec.seed, oracle_checked=exact)
 
 
 # --------------------------------------------------------------------- #
@@ -322,14 +323,9 @@ def run_invariance(spec: ExperimentSpec) -> dict:
     q = d.q
     t = _threshold(spec)
     s = _tally(spec, _pruner(spec, t), spec.lam, pool_lengths=True)
-    expected = d.pmf_array(255)
-    stat, dof = gof.chi_square_pmf(s.branching, expected)
-    thr = gof.chi_square_threshold(dof, spec.alpha)
-    shape_rep = gof.GofReport(
-        test=f"prune-invariance-offspring[{spec.dist},phi={spec.phi},t={t:.4g}]",
-        statistic=stat, threshold=thr, passed=stat <= thr, n=s.n_survived,
-        details={"dof": dof, "p_hat": s.p_hat, "seed": spec.seed},
-    )
+    shape_rep = gof.chi_square_report(
+        f"prune-invariance-offspring[{spec.dist},phi={spec.phi},t={t:.4g}]", s.branching,
+        d.pmf_array(255), alpha=spec.alpha, seed=spec.seed, p_hat=s.p_hat)
     lens = np.concatenate(s.edge_lengths) if s.edge_lengths else np.zeros(0)
     rate, ci = gof.fit_exponential_rate(lens)
     pred = spec.lam * s.p_hat ** ((1.0 - q) / q)
@@ -364,14 +360,9 @@ def run_uniqueness_falsification(spec: ExperimentSpec) -> gof.GofReport:
         raise ValueError("falsification is about critical laws")
     t = _threshold(spec)
     s = _tally(spec, _pruner(spec, t), _phi_lam(spec))
-    expected = d.pmf_array(255)
-    stat, dof = gof.chi_square_pmf(s.branching, expected)
-    thr = gof.chi_square_threshold(dof, spec.alpha)
-    return gof.GofReport(
-        test=f"uniqueness-falsification[{spec.dist},phi={spec.phi},t={t:.4g}]",
-        statistic=stat, threshold=thr, passed=stat > thr, n=s.n_survived,
-        details={"dof": dof, "p_hat": s.p_hat, "rejected": stat > thr, "seed": spec.seed},
-    )
+    return gof.chi_square_report(
+        f"uniqueness-falsification[{spec.dist},phi={spec.phi},t={t:.4g}]", s.branching,
+        d.pmf_array(255), alpha=spec.alpha, seed=spec.seed, reject=True, p_hat=s.p_hat)
 
 
 def run_thinning(spec: ExperimentSpec) -> gof.GofReport:
@@ -398,14 +389,10 @@ def run_thinning(spec: ExperimentSpec) -> gof.GofReport:
     lump_p = max(0.0, 1.0 - sum(probs))
     lump_o = s.n_survived - sum(obs)
     expected = np.asarray(probs + [lump_p])
-    observed = np.asarray(obs + [lump_o], dtype=np.float64)
-    stat, dof = gof.chi_square_pmf(observed, expected / expected.sum())
-    thr = gof.chi_square_threshold(dof, spec.alpha)
-    return gof.GofReport(
-        test=f"binomial-thinning[{spec.dist},phi={spec.phi},t={t:.4g}]",
-        statistic=stat, threshold=thr, passed=stat <= thr, n=s.n_survived,
-        details={"dof": dof, "p_hat": p, "cells": len(cells) + 1, "seed": spec.seed},
-    )
+    return gof.chi_square_report(
+        f"binomial-thinning[{spec.dist},phi={spec.phi},t={t:.4g}]", obs + [lump_o],
+        expected / expected.sum(), alpha=spec.alpha, seed=spec.seed, p_hat=p,
+        cells=len(cells) + 1)
 
 
 # --------------------------------------------------------------------- #
@@ -536,13 +523,8 @@ def run_coloring(spec: ExperimentSpec) -> dict:
         passed=abs(g_hat - g_pred) <= 0.01, n=ntot,
         details={"g_hat": g_hat, "g_predicted": g_pred, "seed": spec.seed},
     )
-    stat_t, dof_t = gof.chi_square_pmf(branch, pmf_thin)
-    thr_t = gof.chi_square_threshold(dof_t, spec.alpha)
-    thin_rep = gof.GofReport(
-        test=f"coloring-offspring-thinned[{spec.dist},p={spec.p:g}]",
-        statistic=stat_t, threshold=thr_t, passed=stat_t <= thr_t, n=n_surv,
-        details={"dof": dof_t, "seed": spec.seed},
-    )
+    thin_rep = gof.chi_square_report(f"coloring-offspring-thinned[{spec.dist},p={spec.p:g}]",
+                                     branch, pmf_thin, alpha=spec.alpha, seed=spec.seed)
     printed_sum = float(pmf_printed.sum())
     printed = {"pmf_sum": printed_sum}
     if 0.99 < printed_sum < 1.01:
@@ -631,7 +613,7 @@ def majority(fn, spec: ExperimentSpec, seeds=(1, 2, 3, 4, 5)):
     seeds; majority vote suppresses the 1%-level flake rate."""
     outcomes = []
     for s in seeds:
-        out = fn(spec.with_(seed=spec.seed + s))
+        out = fn(replace(spec, seed=spec.seed + s))
         outcomes.append((s, passed(out), out))
     votes = sum(1 for _, p, _ in outcomes if p)
     return votes * 2 > len(outcomes), outcomes

@@ -1,11 +1,15 @@
 """Goodness-of-fit utilities that turn Monte Carlo output into verdicts.
 
 Everything is deterministic given (samples, parameters): tests never draw
-randomness of their own.  Verdicts use a fixed 1% significance level;
-experiments that want flake resistance run several seeds and take the
-majority.  When samples were censored (node budget), the KS comparison is
-restricted to a range where the analytic CDF already holds all but a
+randomness of their own.  Verdicts use a significance level alpha (1% by
+default); experiments that want flake resistance run several seeds and take
+the majority.  When samples were censored (node budget), the KS comparison
+is restricted to a range where the analytic CDF already holds all but a
 multiple of the censored mass, so censoring cannot flip a verdict.
+
+Every KS and chi-square verdict is built in one place, :func:`ks_report`
+and :func:`chi_square_report`: statistic, threshold at alpha and verdict
+in one :class:`GofReport`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from scipy import special
 
 __all__ = [
     "GofReport",
+    "ks_report",
+    "chi_square_report",
     "ks_statistic",
     "ks_threshold",
     "chi_square_pmf",
@@ -106,6 +112,16 @@ def ks_threshold(n: int, alpha: float = 0.01) -> float:
     return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
 
 
+def ks_report(test: str, samples: np.ndarray, cdf, comparison_range: tuple | None, *,
+              alpha: float, seed: int, **details) -> GofReport:
+    """KS verdict of sorted ``samples`` against ``cdf``, passed at most at
+    the threshold; details: the given ones, then the samples' seed."""
+    stat = ks_statistic(samples, cdf, comparison_range)
+    thr = ks_threshold(len(samples), alpha)
+    return GofReport(test, stat, thr, stat <= thr, len(samples), comparison_range,
+                     {**details, "seed": seed})
+
+
 # --------------------------------------------------------------------- #
 # Chi-square with tail merging                                            #
 # --------------------------------------------------------------------- #
@@ -173,6 +189,19 @@ def chi_square_pmf(observed_counts: np.ndarray, expected_probs: np.ndarray,
 def chi_square_threshold(dof: int, alpha: float = 0.01) -> float:
     """Upper-alpha quantile of chi-square with ``dof`` degrees of freedom."""
     return float(special.chdtri(dof, alpha))
+
+
+def chi_square_report(test: str, observed_counts: np.ndarray, expected_probs: np.ndarray, *,
+                      alpha: float, seed: int, reject: bool = False, **details) -> GofReport:
+    """Chi-square verdict of counts against a pmf, passed at most at the
+    threshold or, with ``reject`` (a falsification), above it; details: dof,
+    the given ones, ``rejected`` (``reject`` only), then the samples' seed."""
+    stat, dof = chi_square_pmf(observed_counts, expected_probs)
+    thr = chi_square_threshold(dof, alpha)
+    verdict = {"rejected": stat > thr} if reject else {}
+    return GofReport(test, stat, thr, stat > thr if reject else stat <= thr,
+                     int(np.sum(observed_counts)),
+                     details={"dof": dof, **details, **verdict, "seed": seed})
 
 
 # --------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ reader would change what the benchmark's deepest trees cost.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -95,10 +96,7 @@ def from_newick(text: str) -> MetricTree:
     order = np.argsort(depth, kind="stable")   # preorder -> breadth-first
     parent = np.argsort(order)[parent[order]]
     parent[0] = -1
-    length = length[order]
-    if not ((0.0 < length[1:]) & (length[1:] < np.inf)).all():
-        raise ValueError("edge lengths must be finite and > 0")
-    return MetricTree(parent, length, validate=False,
+    return MetricTree(parent, length[order], validate=False,
                       gen_starts=np.cumsum(np.bincount(depth + 1)))
 
 
@@ -131,5 +129,8 @@ def _parse_node(s: str, pos: int, parent: int, depth: int, cols) -> int:
     m = _LENGTH.match(s, pos + 1)
     if m is None:
         raise NewickError("invalid branch length", pos + 1)
-    lengths[me] = float(m.group())
+    x = float(m.group())
+    if not 0.0 < x < math.inf:
+        raise NewickError("edge lengths must be finite and > 0", pos + 1)
+    lengths[me] = x
     return m.end()

@@ -24,7 +24,11 @@ the one consistent with the Zipf case L = 2 - alpha.)
 Families: the one-parameter power family with Q(z) = z + q(1-z)^(1/q)
 (q in [1/2,1), the fixed points of the pruning theory; "igw" in CLI specs),
 critical binary, Zipf-critical, geometric-critical, and finite tables.
-All instances are immutable value objects; estimators are pure.
+Each law is built one way, by its class (``IGW(q)``, ``ZipfCritical(alpha)``,
+``GeometricCritical(r)``, ``FiniteTable(probs)``) or by a spec string
+through :func:`from_spec` (``"binary"`` is ``FiniteTable([0.5, 0, 0.5])``),
+and read through its methods (``d.pmf(k)``, ``d.classify()``).  All
+instances are immutable value objects; estimators are pure.
 """
 
 from __future__ import annotations
@@ -44,15 +48,8 @@ __all__ = [
     "FiniteTable",
     "ZipfCritical",
     "GeometricCritical",
-    "igw",
-    "critical_binary",
-    "zipf_critical",
-    "geometric_critical",
-    "table",
     "from_spec",
-    "igw_pmf",
     "g_value",
-    "classify",
     "RegularityProfile",
     "estimate_L",
     "estimate_Lambda",
@@ -171,10 +168,6 @@ class OffspringDistribution:
         return self.q_minus_z(x) / ((1.0 - x) * self.one_minus_qprime(x))
 
     # -- sampling support ---------------------------------------------------- #
-
-    def cumulative_table(self, kmax: int) -> np.ndarray:
-        """P(X <= k) for k = 0..kmax, for inverse-CDF sampling."""
-        return np.cumsum(self.pmf_array(kmax))
 
     def pmf_tail_iter(self, k0: int):
         """Yield (k, pmf(k)) for k = k0, k0+1, ... (table overflow path)."""
@@ -511,21 +504,18 @@ class ZipfCritical(OffspringDistribution):
     def has_infinite_second_moment(self) -> bool:
         return True  # alpha <= 2
 
-    def _li(self, s: float, z):
-        return mp.polylog(s, z)
-
     def Q(self, z: float) -> float:
         if z == 1.0:
             return 1.0
         with mp.workdps(self.dps):
-            val = self._q0_mp + self._c_mp * (self._li(self.alpha + 1, z) - z)
+            val = self._q0_mp + self._c_mp * (mp.polylog(self.alpha + 1, z) - z)
         return float(val)
 
     def Q_prime(self, z: float) -> float:
         if z == 0.0:
             return 0.0
         with mp.workdps(self.dps):
-            val = self._c_mp * (self._li(self.alpha, z) - z) / z
+            val = self._c_mp * (mp.polylog(self.alpha, z) - z) / z
         return float(val)
 
     def log_Q_deriv(self, z: float, m: int) -> float:
@@ -554,7 +544,7 @@ class ZipfCritical(OffspringDistribution):
         extra = int(self.alpha * max(0.0, -math.log10(max(1.0 - z, 1e-300)))) + 10
         with mp.workdps(self.dps + extra):
             zm = mp.mpf(z)
-            val = self._q0_mp + self._c_mp * (self._li(self.alpha + 1, zm) - zm) - zm
+            val = self._q0_mp + self._c_mp * (mp.polylog(self.alpha + 1, zm) - zm) - zm
         return float(val)
 
     def one_minus_qprime(self, z: float) -> float:
@@ -563,7 +553,7 @@ class ZipfCritical(OffspringDistribution):
         extra = int(self.alpha * max(0.0, -math.log10(max(1.0 - z, 1e-300)))) + 10
         with mp.workdps(self.dps + extra):
             zm = mp.mpf(z)
-            val = 1 - self._c_mp * (self._li(self.alpha, zm) - zm) / zm
+            val = 1 - self._c_mp * (mp.polylog(self.alpha, zm) - zm) / zm
         return float(val)
 
     def tail_prob(self, j: int) -> float:
@@ -678,28 +668,8 @@ class GeometricCritical(OffspringDistribution):
 
 
 # --------------------------------------------------------------------- #
-# Constructors and spec strings                                           #
+# Spec strings                                                            #
 # --------------------------------------------------------------------- #
-
-
-def igw(q: float) -> IGW:
-    return IGW(q)
-
-
-def critical_binary() -> FiniteTable:
-    return FiniteTable([0.5, 0.0, 0.5])
-
-
-def zipf_critical(alpha: float) -> ZipfCritical:
-    return ZipfCritical(alpha)
-
-
-def geometric_critical(r: float = 0.5) -> GeometricCritical:
-    return GeometricCritical(r)
-
-
-def table(probs) -> FiniteTable:
-    return FiniteTable(probs)
 
 
 def from_spec(spec: str) -> OffspringDistribution:
@@ -710,7 +680,7 @@ def from_spec(spec: str) -> OffspringDistribution:
     """
     spec = spec.strip()
     if spec == "binary":
-        return critical_binary()
+        return FiniteTable([0.5, 0.0, 0.5])
     kind, _, arg = spec.partition(":")
     if kind == "igw":
         return IGW(float(arg))
@@ -731,10 +701,6 @@ def from_spec(spec: str) -> OffspringDistribution:
 # --------------------------------------------------------------------- #
 
 
-def igw_pmf(q: float, k: int) -> float:
-    return IGW(q).pmf(k)
-
-
 def g_value(d: OffspringDistribution, x: float, route: str = "direct") -> float:
     """g(x) = (Q(x)-x)/(1-x)^2 by two independent routes.
 
@@ -750,10 +716,6 @@ def g_value(d: OffspringDistribution, x: float, route: str = "direct") -> float:
     if route == "series":
         return d.g_series(x) + (1.0 - d.mean()) / (1.0 - x)
     raise ValueError(f"unknown route {route!r}")
-
-
-def classify(d: OffspringDistribution) -> str:
-    return d.classify()
 
 
 @dataclass(frozen=True)

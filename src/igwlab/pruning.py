@@ -304,13 +304,6 @@ class ForestReduction:
         """The reduced tree of one live slot: a slot of :meth:`reduced`."""
         return self.reduced()[int(self.fa.slots[live_slot])]
 
-    def scatter(self, per_live, fill=0):
-        """Per-live-slot values back onto the original chunk positions."""
-        per_live = np.asarray(per_live)
-        out = np.full(len(self.fa), fill, dtype=per_live.dtype)
-        out[self.fa.slots] = per_live
-        return out
-
 
 class PrunedForest(ForestReduction):
     """Generalized dynamical pruning of a whole chunk of trees (a

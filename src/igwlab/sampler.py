@@ -32,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offspring import FiniteTable, OffspringDistribution
-from .rng import CounterStream, block_uniforms, stream_key, stream_keys
+from .rng import block_uniforms, stream_key, stream_keys
 from .trees import CombinatorialTree, Forest, MetricTree
 
 __all__ = [
     "SampleConfig",
     "SampleOutcome",
     "StatsSample",
-    "sample_offspring",
     "sample_shape",
     "sample_metric",
     "sample_stats",
@@ -62,10 +61,15 @@ class SampleConfig:
     edge_rate: float | None = None  # lambda; None = shape only
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("node budget must be >= 1")
-        if self.edge_rate is not None and not self.edge_rate > 0:
-            raise ValueError("edge rate must be > 0")
+        _check_limits(self.budget, self.edge_rate)
+
+
+def _check_limits(budget: int, lam: float | None):
+    """The node budget and edge rate (None: shapes only) every sampler takes."""
+    if budget < 1:
+        raise ValueError("node budget must be >= 1")
+    if lam is not None and not lam > 0:
+        raise ValueError("edge rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class _CdfTable:
             cum = np.cumsum(d.probs)
             cum[-1] = 1.0  # mass defect <= construction tolerance
         else:
-            cum = d.cumulative_table(kmax)
+            cum = np.cumsum(d.pmf_array(kmax))
             cut = int(np.searchsorted(1.0 - cum < _TABLE_TAIL_EPS, True))
             if cut < len(cum) - 1:
                 cum = cum[: cut + 1].copy()
@@ -174,11 +178,6 @@ def _tables(d: OffspringDistribution) -> _CdfTable:
 # --------------------------------------------------------------------- #
 # Scalar reference sampler                                                #
 # --------------------------------------------------------------------- #
-
-
-def sample_offspring(d: OffspringDistribution, stream: CounterStream) -> int:
-    """One offspring draw by inverse CDF from a sequential stream."""
-    return int(_tables(d).lookup(np.array(stream.uniform())))
 
 
 def sample_shape(d: OffspringDistribution, cfg: SampleConfig) -> SampleOutcome:
@@ -325,6 +324,7 @@ def sample_stats(d: OffspringDistribution, seed: int, n: int, *,
                  budget: int = 1_000_000, lam: float | None = None,
                  replicate0: int = 0, chunk: int = 131072) -> StatsSample:
     """Heights/lengths/edge counts for replicates replicate0..replicate0+n-1."""
+    _check_limits(budget, lam)
     if d.classify() == "supercritical":
         raise ValueError("sampling requires a critical or subcritical law")
     censored = np.zeros(n, dtype=bool)
@@ -354,6 +354,7 @@ def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
     The :class:`~igwlab.trees.Forest` holds the chunk's uncensored trees;
     as a sequence it has one entry per replicate, None where censored.
     """
+    _check_limits(budget, lam)
     if d.classify() == "supercritical":
         raise ValueError("sampling requires a critical or subcritical law")
     for lo in range(0, n, chunk):

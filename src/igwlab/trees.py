@@ -44,7 +44,6 @@ __all__ = [
     "MetricTree",
     "Forest",
     "TreePoint",
-    "shape",
     "series_reduce",
     "descendant_subtree",
     "almost_isometric",
@@ -403,22 +402,6 @@ class Forest(Sequence):
         level = np.searchsorted(self.level_starts, idx, side="right") - 1
         return self._build(self.local_id[self.parent[idx]], self.length[idx], level)
 
-    def __iter__(self):
-        order = self.by_tree
-        parent = self.local_id[self.parent[order]]
-        length = self.length[order]
-        level = np.repeat(np.arange(self.ngen), np.diff(self.level_starts))[order]
-        off = self.off
-        slot_of = np.full(len(self), -1, dtype=np.int64)
-        slot_of[self.slots] = np.arange(self.R)
-        for i in range(len(self)):
-            r = slot_of[i]
-            if r >= 0:
-                lo, hi = off[r], off[r + 1]
-                yield self._build(parent[lo:hi], length[lo:hi].copy(), level[lo:hi])
-            else:
-                yield self._not_live(i)
-
     def _not_live(self, i):
         """None for a censored slot; a slot given an empty tree keeps it."""
         if self.censored[i]:
@@ -567,11 +550,6 @@ def _horton_order(t: CombinatorialTree) -> int:
 # --------------------------------------------------------------------- #
 # Module-level operations                                                 #
 # --------------------------------------------------------------------- #
-
-
-def shape(t: MetricTree) -> CombinatorialTree:
-    """Forget edge lengths."""
-    return t.shape()
 
 
 def series_reduce(t):

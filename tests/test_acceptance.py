@@ -8,6 +8,7 @@ attractor families and the n = 2e5 binary-tree samples (~10-15 minutes).
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from igwlab import experiments as xp
 from igwlab import gof
 from igwlab import sampler as smp
 from igwlab.newick import from_newick
-from igwlab.offspring import estimate_L, igw, zipf_critical
+from igwlab.offspring import IGW, ZipfCritical, estimate_L
 
 SEED = 20260810
 N_BIG = 200_000
@@ -41,12 +42,12 @@ def _line(num, passed, msg):
 @pytest.fixture(scope="module")
 def stats_half():
     """n = 2e5 metric trees of the binary law at rate 1 (criteria 1, 3, 5)."""
-    return smp.sample_stats(igw(0.5), SEED, N_BIG, budget=BUDGET, lam=1.0)
+    return smp.sample_stats(IGW(0.5), SEED, N_BIG, budget=BUDGET, lam=1.0)
 
 
 @pytest.fixture(scope="module")
 def stats_twothirds():
-    return smp.sample_stats(igw(Q23), SEED, N_BIG, budget=BUDGET, lam=1.0)
+    return smp.sample_stats(IGW(Q23), SEED, N_BIG, budget=BUDGET, lam=1.0)
 
 
 def _height_ks(st, q):
@@ -143,7 +144,7 @@ def test_criterion_04_length_tail():
 def test_criterion_05_size_law(stats_half, stats_twothirds):
     exact_ok = True
     for qf in (Fraction(1, 2), Fraction(2, 3)):
-        oracle = ana.size_pmf_oracle(igw(float(qf)), 30, exact=True)
+        oracle = ana.size_pmf_oracle(IGW(float(qf)), 30, exact=True)
         exact_ok &= all(oracle[n] == ana.size_pmf(qf, n) for n in range(1, 31))
     spots = (ana.size_pmf(Fraction(1, 2), 1) == Fraction(1, 2)
              and ana.size_pmf(Fraction(1, 2), 2) == 0
@@ -187,7 +188,7 @@ def test_criterion_07_pruning_invariance():
     out = xp.run_invariance(spec)
     off, rate = out["offspring"], out["rate"]
     enough = off.n >= 100_000
-    hspec = spec.with_(phi="height", n=120_000)
+    hspec = replace(spec, phi="height", n=120_000)
     hout = xp.run_invariance(hspec)
     hratio = hout["rate"].details["ratio_closed_form"]
     ok = (off.passed and rate.passed and enough
@@ -222,7 +223,7 @@ def test_criterion_09_attractor_deterministic():
     import time
 
     t0 = time.time()
-    gz = ana.pushforward_offspring(zipf_critical(1.5), 1e-4).g0
+    gz = ana.pushforward_offspring(ZipfCritical(1.5), 1e-4).g0
     gg = ana.pushforward_offspring(xp.from_spec("geom:0.5"), 1e-4).g0
     gs = ana.pushforward_offspring(xp.from_spec("table:[0.6,0,0.4]"), 1e-4).g0
     dt = time.time() - t0

@@ -140,19 +140,19 @@ class TestSize:
 
     @pytest.mark.parametrize("qf", [Fraction(1, 2), Fraction(2, 3)])
     def test_exact_equals_convolution_oracle(self, qf):
-        d = O.igw(float(qf))
+        d = O.IGW(float(qf))
         oracle = A.size_pmf_oracle(d, 30, exact=True)
         for n in range(1, 31):
             assert oracle[n] == A.size_pmf(qf, n)
 
     def test_oracle_float_mode_any_law(self):
-        d = O.geometric_critical(0.5)
+        d = O.GeometricCritical(0.5)
         alpha = A.size_pmf_oracle(d, 12, exact=False)
         assert alpha[1] == pytest.approx(d.pmf(0), abs=1e-15)
         assert alpha[2] == 0.0
         # 3 edges: first vertex has 2 children, both leaves
         assert alpha[3] == pytest.approx(d.pmf(2) * d.pmf(0) ** 2, abs=1e-15)
-        assert A.size_pmf_oracle(O.table([1.0]), 5, exact=False)[1] == 1.0
+        assert A.size_pmf_oracle(O.FiniteTable([1.0]), 5, exact=False)[1] == 1.0
 
     def test_cdf_is_partial_sum(self):
         qf = Fraction(2, 3)
@@ -201,7 +201,7 @@ class TestLagrange:
 
 class TestPushforward:
     def test_invariance_of_the_power_family(self):
-        d = O.igw(0.75)
+        d = O.IGW(0.75)
         ref = d.pmf_array(64)
         for p in (0.9, 0.3, 1e-3):
             law = A.pushforward_offspring(d, p)
@@ -212,17 +212,17 @@ class TestPushforward:
         """Q of igw:0.5 is quadratic, so its third and higher derivatives
         vanish; their logs used to raise a math domain error."""
         for p in (1e-4, 0.02, 0.5):
-            a = A.pushforward_offspring(O.igw(0.5), p)
-            b = A.pushforward_offspring(O.critical_binary(), p)
+            a = A.pushforward_offspring(O.IGW(0.5), p)
+            b = A.pushforward_offspring(O.from_spec("binary"), p)
             assert np.array_equal(a.pmf, b.pmf) and a.tail_mass == b.tail_mass
 
     def test_p_one_is_identity(self):
-        d = O.geometric_critical()
+        d = O.GeometricCritical()
         law = A.pushforward_offspring(d, 1.0)
         assert np.allclose(law.pmf, d.pmf_array(64), atol=0)
 
     def test_binary_half_worked_example(self):
-        law = A.pushforward_offspring(O.critical_binary(), 0.5)
+        law = A.pushforward_offspring(O.from_spec("binary"), 0.5)
         assert law.g0 == pytest.approx(0.5, abs=1e-12)
         assert law.pmf[2] == pytest.approx(0.5, abs=1e-12)
 
@@ -239,11 +239,11 @@ class TestPushforward:
             for p in (0.9, 0.5, 0.01, 1e-4):
                 assert A.pushforward_Q_prime(d, p, 1.0) == pytest.approx(1.0, abs=1e-9)
         # subcritical input drops strictly below 1
-        sub = O.table([0.6, 0, 0.4])
+        sub = O.FiniteTable([0.6, 0, 0.4])
         assert A.pushforward_Q_prime(sub, 0.5, 1.0) < 0.7
 
     def test_pushforward_Q_endpoints_and_subcritical_limit(self):
-        sub = O.table([0.6, 0, 0.4])
+        sub = O.FiniteTable([0.6, 0, 0.4])
         for spec in ("igw:0.6", "zipf:1.5"):
             assert A.pushforward_Q(O.from_spec(spec), 0.5, 1.0) == pytest.approx(1.0, abs=1e-12)
         for z in (0.0, 0.4, 0.9):
@@ -251,17 +251,17 @@ class TestPushforward:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            A.pushforward_offspring(O.critical_binary(), 0.0)
+            A.pushforward_offspring(O.from_spec("binary"), 0.0)
         with pytest.raises(ValueError):
-            A.pushforward_offspring(O.table([0.4, 0, 0.6]), 0.5)
+            A.pushforward_offspring(O.FiniteTable([0.4, 0, 0.6]), 0.5)
 
 
 class TestColoring:
     def test_p_zero_always_survives(self):
-        assert A.coloring_survival(O.critical_binary(), 0.0) == 1.0
+        assert A.coloring_survival(O.from_spec("binary"), 0.0) == 1.0
 
     def test_binary_half_quadratic(self):
-        g = A.coloring_survival(O.critical_binary(), 0.5)
+        g = A.coloring_survival(O.from_spec("binary"), 0.5)
         assert g == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_fixed_point_satisfied(self):
@@ -272,7 +272,7 @@ class TestColoring:
                 assert f == pytest.approx(d.Q(f) - d.pmf(0) * (1 - p), abs=1e-10)
 
     def test_thinned_variant_reproduces_Q_for_power_family(self):
-        d = O.igw(2 / 3)
+        d = O.IGW(2 / 3)
         gp = A.coloring_survival(d, 0.7)
         for z in np.linspace(0.0, 1.0, 7):
             assert A.coloring_Q(d, 0.7, gp, z, "thinned") == pytest.approx(
@@ -287,26 +287,26 @@ class TestColoring:
     def test_printed_variant_fails_normalization(self):
         """The published formula mixes p into the thinning argument; its
         'pmf' does not even sum to one away from the invariant family."""
-        d = O.geometric_critical()
+        d = O.GeometricCritical()
         _, pmf, _ = A.coloring_offspring(d, 0.5, "as-printed")
         assert abs(pmf.sum() - 1.0) > 0.01
 
 
 class TestAttractorLimit:
     def test_power_family_exact_at_any_x(self):
-        d = O.igw(0.8)
+        d = O.IGW(0.8)
         for x in (0.3, 0.9, 1 - 1e-5):
             assert A.attractor_limit(d, 0.3, x) == pytest.approx(
                 A.attractor_target(d, 0.3), rel=1e-10)
 
     def test_zipf_approaches_target(self):
-        d = O.zipf_critical(1.5)
+        d = O.ZipfCritical(1.5)
         tgt = A.attractor_target(d, 0.3)
         assert tgt == pytest.approx(0.7 ** 1.5 / 1.5, abs=0.002)
         val = A.attractor_limit(d, 0.3, 1 - 1e-4)
         assert val == pytest.approx(tgt, rel=0.03)
 
     def test_subcritical_target_is_one_minus_z(self):
-        sub = O.table([0.6, 0, 0.4])
+        sub = O.FiniteTable([0.6, 0, 0.4])
         assert A.attractor_target(sub, 0.3) == pytest.approx(0.7, abs=1e-12)
         assert A.attractor_limit(sub, 0.3, 1 - 1e-6) == pytest.approx(0.7, abs=1e-3)

@@ -79,7 +79,7 @@ def test_pushforward(spec, p):
 
 
 def test_coloring_on_binary():
-    d = O.critical_binary()
+    d = O.from_spec("binary")
     g, pmf, tail = A.coloring_offspring(d, 0.5, "thinned")
     assert (g.hex(), _digest(pmf), tail.hex()) == (
         "0x1.6a09e667f3548p-1",

@@ -137,6 +137,40 @@ def test_failed_run_keeps_existing_files(case, tmp_path, monkeypatch, capsys):
     assert {name: (tmp_path / name).read_text() for name in os.listdir(".")} == before
 
 
+# each exits 2 and writes nothing; they used to exit 0 (an empty file,
+# lengths that prune rejects, every replicate censored, a verdict on
+# nothing) or end in a traceback
+OUT_OF_RANGE = {
+    "n": ["sample", "--dist", "binary", "--n", "0", "--out", "trees.newick"],
+    "n-verify": ["verify", "height", "--dist", "igw:0.5", "--n", "0"],
+    "lam-negative": ["sample", "--dist", "binary", "--n", "3", "--lam", "-1",
+                     "--out", "trees.newick"],
+    "lam-zero": ["sample", "--dist", "binary", "--n", "3", "--lam", "0", "--out", "trees.newick"],
+    "budget": ["sample", "--dist", "binary", "--n", "3", "--budget", "0",
+               "--out", "trees.newick"],
+    "alpha": ["verify", "height", "--dist", "igw:0.5", "--n", "1000", "--alpha", "0"],
+    "chunk": ["semigroup", "--dist", "igw:0.5", "--n", "50", "--config", "chunk.cfg"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_exits_2(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chunk.cfg").write_text("chunk = -1\n")
+    argv = OUT_OF_RANGE[case]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"igwlab {argv[0]}")
+    assert os.listdir(".") == ["chunk.cfg"]
+
+
+def test_censor_rate_overrun_exits_2(capsys):
+    """It raised a bare RuntimeError: a traceback and exit 1, the code of a
+    failed verdict."""
+    argv = ["verify", "height", "--dist", "igw:0.5", "--n", "500", "--budget", "10"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "igwlab verify height: censor rate 0.266 above bound 0.005\n"
+
+
 def test_successful_run_replaces_existing_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trees.newick").write_text("(:1.0);\n")
@@ -208,8 +242,8 @@ def test_undeclared_fields_leave_the_result_unchanged(case):
     assert undeclared
     for f in undeclared:
         assert getattr(spec, f) != OTHER[f]
-        assert _result(case, spec.with_(**{f: OTHER[f]})) == base, f
+        assert _result(case, dataclasses.replace(spec, **{f: OTHER[f]})) == base, f
     # the fingerprint does see a declared field change
     f = "dist" if case == ("attractor", "gf") else "seed"
     assert f in declared
-    assert _result(case, spec.with_(**{f: OTHER[f]})) != base
+    assert _result(case, dataclasses.replace(spec, **{f: OTHER[f]})) != base

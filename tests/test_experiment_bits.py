@@ -10,6 +10,8 @@ then computed as (c / L) * (L / n) and may differ from c / n in the last
 bit, so its shape counts c are pinned instead.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from igwlab import experiments as xp
@@ -32,7 +34,7 @@ THINNING = {
 
 @pytest.mark.parametrize("dist,phi,t,seed", sorted(THINNING, key=str))
 def test_thinning(dist, phi, t, seed):
-    rep = xp.run_thinning(SPEC.with_(dist=dist, phi=phi, threshold=t, seed=seed))
+    rep = xp.run_thinning(replace(SPEC, dist=dist, phi=phi, threshold=t, seed=seed))
     assert (rep.n, _hex(statistic=rep.statistic, p_hat=rep.details["p_hat"])) == (
         THINNING[dist, phi, t, seed])
 
@@ -52,7 +54,7 @@ COLORING = {
 
 @pytest.mark.parametrize("dist,p,seed", sorted(COLORING))
 def test_coloring(dist, p, seed):
-    out = xp.run_coloring(SPEC.with_(dist=dist, p=p, seed=seed))
+    out = xp.run_coloring(replace(SPEC, dist=dist, p=p, seed=seed))
     surv, thin = out["survival"], out["thinned"]
     got = _hex(survival=surv.statistic, g_hat=surv.details["g_hat"],
                thinned=thin.statistic, g0_hat=out["g0_hat"])
@@ -72,7 +74,7 @@ INVARIANCE = {
 
 @pytest.mark.parametrize("dist,phi,t,seed", sorted(INVARIANCE, key=str))
 def test_invariance(dist, phi, t, seed):
-    out = xp.run_invariance(SPEC.with_(dist=dist, phi=phi, threshold=t, seed=seed))
+    out = xp.run_invariance(replace(SPEC, dist=dist, phi=phi, threshold=t, seed=seed))
     s, rate = out["summary"], out["rate"]
     got = _hex(offspring=out["offspring"].statistic, rate=rate.statistic,
                fit=rate.details["rate"], threshold=out["threshold"])
@@ -92,7 +94,7 @@ FALSIFY = {
 @pytest.mark.parametrize("dist,phi,t,seed", sorted(FALSIFY))
 def test_uniqueness_falsification(dist, phi, t, seed):
     rep = xp.run_uniqueness_falsification(
-        SPEC.with_(dist=dist, phi=phi, threshold=t, seed=seed))
+        replace(SPEC, dist=dist, phi=phi, threshold=t, seed=seed))
     assert (rep.n, _hex(statistic=rep.statistic, p_hat=rep.details["p_hat"])) == (
         FALSIFY[dist, phi, t, seed])
 
@@ -110,7 +112,7 @@ ATTRACTOR = {
 
 @pytest.mark.parametrize("dist,phi,t,iterations,n,seed", sorted(ATTRACTOR, key=str))
 def test_attractor_mc(dist, phi, t, iterations, n, seed):
-    out = xp.run_attractor_mc(SPEC.with_(dist=dist, phi=phi, threshold=t, n=n, seed=seed),
+    out = xp.run_attractor_mc(replace(SPEC, dist=dist, phi=phi, threshold=t, n=n, seed=seed),
                               iterations=iterations)
     head, counts = ATTRACTOR[dist, phi, t, iterations, n, seed]
     surv = out["survivors"]

@@ -10,6 +10,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ class TestVerifyLaws:
         # deliberately score the sample against the wrong parameter
         from igwlab import analytics as ana
         from igwlab import sampler as smp
-        from igwlab.offspring import igw
+        from igwlab.offspring import IGW
 
-        st = smp.sample_stats(igw(0.5), 33, 12000, lam=1.0)
+        st = smp.sample_stats(IGW(0.5), 33, 12000, lam=1.0)
         hs = np.sort(st.heights[~st.censored])
         D = gof.ks_statistic(hs, lambda x: ana.height_cdf(2 / 3, 1.0, x))
         assert D > gof.ks_threshold(len(hs), 0.01)
@@ -48,12 +49,20 @@ class TestVerifyLaws:
         assert rep.details["range_coverage"] > 0.5
 
     def test_size_oracle_precheck_and_pass(self):
-        rep = xp.run_verify_size(SPEC.with_(dist="igw:0.66666666666666663"))
+        rep = xp.run_verify_size(replace(SPEC, dist="igw:0.66666666666666663"))
         assert rep.passed and rep.details["oracle_checked"]
 
     def test_requires_power_family(self):
         with pytest.raises(ValueError):
-            xp.run_verify_height(SPEC.with_(dist="geom:0.5"))
+            xp.run_verify_height(replace(SPEC, dist="geom:0.5"))
+
+    @pytest.mark.parametrize("run", [xp.run_verify_height, xp.run_verify_length])
+    def test_censor_rate_overrun_is_named(self, run):
+        with pytest.raises(xp.CensorRateError) as e:
+            run(replace(SPEC, dist="igw:0.5", n=500, budget=10))
+        assert isinstance(e.value, ValueError)
+        assert (e.value.rate, e.value.bound) == (0.214, SPEC.max_censor_rate)
+        assert str(e.value) == "censor rate 0.214 above bound 0.005"
 
     def test_reproducible(self):
         a = xp.run_verify_height(SPEC)
@@ -63,27 +72,27 @@ class TestVerifyLaws:
 
 class TestThresholdCalibration:
     def test_height_closed_form(self):
-        t = xp.threshold_for_survival(SPEC.with_(phi="height", survival_target=0.5))
+        t = xp.threshold_for_survival(replace(SPEC, phi="height", survival_target=0.5))
         from igwlab import analytics as ana
 
         assert ana.height_survival_pt(0.5, 1.0, t) == pytest.approx(0.5, abs=1e-12)
 
     def test_length_hits_target(self):
-        spec = SPEC.with_(phi="length", survival_target=0.3)
+        spec = replace(SPEC, phi="length", survival_target=0.3)
         t = xp.threshold_for_survival(spec)
         from igwlab import analytics as ana
 
         assert 1.0 - ana.length_cdf(0.5, 1.0, t) == pytest.approx(0.3, abs=1e-9)
 
     def test_leaves_pilot_quantile(self):
-        spec = SPEC.with_(dist="zipf:1.5", phi="leaves", survival_target=0.2, n=4000)
+        spec = replace(SPEC, dist="zipf:1.5", phi="leaves", survival_target=0.2, n=4000)
         t = xp.threshold_for_survival(spec, pilot_n=4000)
         assert t >= 1.0 and t == round(t)
 
 
 class TestInvarianceAndFalsification:
     def test_invariance_passes(self):
-        out = xp.run_invariance(SPEC.with_(dist="igw:0.66666666666666663",
+        out = xp.run_invariance(replace(SPEC, dist="igw:0.66666666666666663",
                                            phi="length", n=20000))
         assert out["offspring"].passed
         assert out["rate"].passed
@@ -91,35 +100,35 @@ class TestInvarianceAndFalsification:
 
     def test_falsification_rejects_zipf(self):
         rep = xp.run_uniqueness_falsification(
-            SPEC.with_(dist="zipf:1.5", phi="length", n=20000))
+            replace(SPEC, dist="zipf:1.5", phi="length", n=20000))
         assert rep.passed and rep.details["rejected"]
 
     def test_falsification_requires_non_invariant(self):
         with pytest.raises(ValueError):
-            xp.run_uniqueness_falsification(SPEC.with_(dist="igw:0.5"))
+            xp.run_uniqueness_falsification(replace(SPEC, dist="igw:0.5"))
         with pytest.raises(ValueError):
-            xp.run_uniqueness_falsification(SPEC.with_(dist="table:[0.6,0,0.4]"))
+            xp.run_uniqueness_falsification(replace(SPEC, dist="table:[0.6,0,0.4]"))
 
     def test_thinning_small(self):
-        rep = xp.run_thinning(SPEC.with_(dist="binary", phi="length", n=15000))
+        rep = xp.run_thinning(replace(SPEC, dist="binary", phi="length", n=15000))
         assert rep.passed
         assert rep.details["p_hat"] == pytest.approx(0.5, abs=0.03)
 
 
 class TestAttractors:
     def test_gf_rows_monotone_toward_limit(self):
-        out = xp.run_attractor_gf(SPEC.with_(dist="zipf:1.5"))
+        out = xp.run_attractor_gf(replace(SPEC, dist="zipf:1.5"))
         gaps = [abs(r["g0"] - 2 / 3) for r in out["rows"]]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert out["passed"]
 
     def test_gf_subcritical_point_mass(self):
-        out = xp.run_attractor_gf(SPEC.with_(dist="table:[0.6,0,0.4]"))
+        out = xp.run_attractor_gf(replace(SPEC, dist="table:[0.6,0,0.4]"))
         assert out["classification"] == "subcritical"
         assert out["g0_final"] > 0.999 and out["passed"]
 
     def test_mc_starvation_reported(self):
-        out = xp.run_attractor_mc(SPEC.with_(dist="geom:0.5", phi="ord", n=300),
+        out = xp.run_attractor_mc(replace(SPEC, dist="geom:0.5", phi="ord", n=300),
                                   iterations=6)
         assert out["starved"] and not out["passed"]
         assert out["required_n"] > 300
@@ -127,12 +136,12 @@ class TestAttractors:
     def test_mc_iterations_need_phi_ord(self):
         """iterations used to be ignored unless phi was ord."""
         with pytest.raises(ValueError, match="phi ord"):
-            xp.run_attractor_mc(SPEC.with_(dist="geom:0.5", phi="height", n=300),
+            xp.run_attractor_mc(replace(SPEC, dist="geom:0.5", phi="height", n=300),
                                 iterations=2)
 
     def test_mc_control_family(self):
         """Invariant input: frequencies already match at a mild threshold."""
-        out = xp.run_attractor_mc(SPEC.with_(dist="igw:0.66666666666666663",
+        out = xp.run_attractor_mc(replace(SPEC, dist="igw:0.66666666666666663",
                                              phi="length", survival_target=0.5,
                                              n=20000))
         assert not out["starved"] and out["passed"]
@@ -161,7 +170,7 @@ class TestAttractors:
 
 class TestColoringExperiment:
     def test_binary_adjudication(self):
-        out = xp.run_coloring(SPEC.with_(dist="binary", p=0.5, n=15000))
+        out = xp.run_coloring(replace(SPEC, dist="binary", p=0.5, n=15000))
         assert out["survival"].passed
         assert out["thinned"].passed
         assert out["as_printed"]["rejected"]
@@ -170,7 +179,7 @@ class TestColoringExperiment:
 
 class TestSemigroupExperiment:
     def test_dichotomy(self):
-        out = xp.run_semigroup(SPEC.with_(n=200))
+        out = xp.run_semigroup(replace(SPEC, n=200))
         assert out["height"]["violations"] == 0
         assert out["ord"]["violations"] == 0
         assert out["length"]["fixed_violates"]
@@ -249,7 +258,7 @@ class TestMajorityAndReports:
 
     def test_majority_of_dict_results(self):
         """run_invariance had no "passed" entry: majority raised KeyError."""
-        spec = SPEC.with_(phi="height", n=600, budget=300)
+        spec = replace(SPEC, phi="height", n=600, budget=300)
         ok, outcomes = xp.majority(xp.run_invariance, spec, seeds=(1, 2, 3))
         for _, passed, out in outcomes:
             assert passed == (out["offspring"].passed and out["rate"].passed)

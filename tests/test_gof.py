@@ -9,7 +9,7 @@ import pytest
 
 import igwlab
 from igwlab import gof
-from igwlab.offspring import igw
+from igwlab.offspring import IGW
 from igwlab.rng import CounterStream
 
 
@@ -60,7 +60,7 @@ class TestChiSquare:
 
     def test_null_calibration_binary_draws(self):
         """Draws from the law vs. its own pmf: non-rejection in >= 19/20."""
-        d = igw(0.5)
+        d = IGW(0.5)
         probs = d.pmf_array(16)
         ok = 0
         for seed in range(20):
@@ -76,11 +76,11 @@ class TestChiSquare:
         u = CounterStream(5, domain=2).uniforms(100000)
         ks = np.where(u < 0.5, 0, 2)
         obs = np.bincount(ks, minlength=65)
-        stat, dof = gof.chi_square_pmf(obs, igw(2 / 3).pmf_array(64))
+        stat, dof = gof.chi_square_pmf(obs, IGW(2 / 3).pmf_array(64))
         assert stat > gof.chi_square_threshold(dof, 0.01)
 
     def test_tail_merging_conserves_mass(self):
-        probs = igw(0.9).pmf_array(64)
+        probs = IGW(0.9).pmf_array(64)
         bounds, merged = gof.merge_tail_buckets(probs, n=1000)
         assert merged.sum() == pytest.approx(1.0, abs=1e-9)
         assert all(p * 1000 >= 5.0 for p in merged[:-1])

@@ -5,7 +5,7 @@ import pytest
 
 from igwlab import trees as T
 from igwlab.newick import NewickError, from_newick, to_newick
-from igwlab.offspring import igw
+from igwlab.offspring import IGW
 from igwlab.sampler import sample_forest
 
 
@@ -32,7 +32,7 @@ class TestFormat:
 
 class TestRoundTrip:
     def test_random_trees_roundtrip_exactly(self):
-        trees, _ = sample_forest(igw(2 / 3), 77, 40, lam=1.3, budget=20000)
+        trees, _ = sample_forest(IGW(2 / 3), 77, 40, lam=1.3, budget=20000)
         for t in trees:
             if t is None:
                 continue
@@ -47,6 +47,13 @@ class TestErrors:
     def test_malformed_raises_with_position(self, bad):
         with pytest.raises((NewickError, ValueError)) as e:
             from_newick(bad)
+
+    @pytest.mark.parametrize("bad,pos", [("(:0);", 2), ("(:-1);", 2), ("(:1e400);", 2),
+                                         ("((:1,:0):1);", 6)])
+    def test_bad_length_raises_with_position(self, bad, pos):
+        with pytest.raises(NewickError) as e:
+            from_newick(bad)
+        assert e.value.pos == pos
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):

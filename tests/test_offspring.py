@@ -42,22 +42,22 @@ class TestPmfBasics:
 
 class TestIGWFamily:
     def test_definition_values(self):
-        assert O.igw_pmf(0.5, 0) == 0.5
-        assert O.igw_pmf(0.5, 2) == 0.5
-        assert O.igw_pmf(0.5, 3) == 0.0
-        assert O.igw_pmf(2 / 3, 2) == pytest.approx(0.25, abs=1e-15)
-        assert O.igw_pmf(2 / 3, 3) == pytest.approx(1 / 24, abs=1e-16)
+        assert O.IGW(0.5).pmf(0) == 0.5
+        assert O.IGW(0.5).pmf(2) == 0.5
+        assert O.IGW(0.5).pmf(3) == 0.0
+        assert O.IGW(2 / 3).pmf(2) == pytest.approx(0.25, abs=1e-15)
+        assert O.IGW(2 / 3).pmf(3) == pytest.approx(1 / 24, abs=1e-16)
 
     @pytest.mark.parametrize("q", [0.55, 2 / 3, 0.8, 0.95])
     def test_gamma_ratio_form(self, q):
         """The product recurrence equals the Gamma-ratio closed form."""
-        d = O.igw(q)
+        d = O.IGW(q)
         for k in range(2, 51):
             assert d.pmf(k) == pytest.approx(d.pmf_gamma(k), rel=1e-9)
 
     @pytest.mark.parametrize("q", [0.5, 2 / 3, 0.9])
     def test_Q_closed_form_matches_series(self, q):
-        d = O.igw(q)
+        d = O.IGW(q)
         arr = d.pmf_array(200000)
         ks = np.arange(len(arr))
         for z in np.arange(0.1, 0.95, 0.1):
@@ -74,11 +74,11 @@ class TestIGWFamily:
             assert 0.0 < b < a < 0.5
 
     def test_binary_Q_is_quadratic(self):
-        d = O.igw(0.5)
+        d = O.IGW(0.5)
         assert d.Q(0.6) == pytest.approx(0.68, abs=1e-15)
 
     def test_tails_match_brute_force(self):
-        d = O.igw(0.75)
+        d = O.IGW(0.75)
         arr = d.pmf_array(300000)
         k = np.arange(len(arr), dtype=np.float64)
         for j in (2, 3, 10, 50):
@@ -89,15 +89,15 @@ class TestIGWFamily:
 
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
-            O.igw(0.4)
+            O.IGW(0.4)
         with pytest.raises(ValueError):
-            O.igw(1.0)
+            O.IGW(1.0)
 
 
 class TestZipf:
     def test_criticality_by_construction(self):
         for alpha in (1.2, 1.5, 2.0):
-            d = O.zipf_critical(alpha)
+            d = O.ZipfCritical(alpha)
             arr = d.pmf_array(2_000_000)
             mean = float(np.sum(np.arange(len(arr)) * arr))
             # truncated mean is below 1 by the exact tail remainder
@@ -106,20 +106,20 @@ class TestZipf:
             assert 0.0 < d.q0 < 1.0
 
     def test_tail_ratio_is_the_zipf_constant(self):
-        d = O.zipf_critical(1.5)
+        d = O.ZipfCritical(1.5)
         for k in (100, 1000):
             assert d.pmf(k) * k ** 2.5 == pytest.approx(d.c, rel=1e-12)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            O.zipf_critical(1.0)
+            O.ZipfCritical(1.0)
         with pytest.raises(ValueError):
-            O.zipf_critical(2.5)
+            O.ZipfCritical(2.5)
 
 
 class TestGeometric:
     def test_critical_and_closed_forms(self):
-        d = O.geometric_critical(0.5)
+        d = O.GeometricCritical(0.5)
         arr = d.pmf_array(200)
         assert float(np.sum(np.arange(201) * arr)) == pytest.approx(1.0, abs=1e-12)
         for z in (0.0, 0.3, 0.9, 1.0):
@@ -162,13 +162,13 @@ class TestGDualRoute:
     def test_known_g_values(self):
         # critical binary: g is identically 1/2
         for x in (0.0, 0.5, 0.99):
-            assert O.g_value(O.critical_binary(), x) == pytest.approx(0.5, abs=1e-12)
+            assert O.g_value(O.from_spec("binary"), x) == pytest.approx(0.5, abs=1e-12)
         # the power family: g(x) = q (1-x)^(1/q - 2)
-        d = O.igw(0.8)
+        d = O.IGW(0.8)
         for x in (0.2, 0.7):
             assert O.g_value(d, x) == pytest.approx(0.8 * (1 - x) ** (1.25 - 2), rel=1e-12)
         # subcritical table at 0: (Q(0)-0)/1 = q0
-        assert O.g_value(O.table([0.6, 0, 0.4]), 0.0) == pytest.approx(0.6, abs=1e-15)
+        assert O.g_value(O.FiniteTable([0.6, 0, 0.4]), 0.0) == pytest.approx(0.6, abs=1e-15)
 
 
 class TestClassify:
@@ -178,42 +178,42 @@ class TestClassify:
         ("table:[0.4,0,0.6]", "supercritical"),
     ])
     def test_classification(self, spec, expect):
-        assert O.classify(O.from_spec(spec)) == expect
+        assert O.from_spec(spec).classify() == expect
 
 
 class TestRegularityExponents:
     def test_L_power_family_exact_probes(self):
         """Probes are constant in x for the invariant family: L = 2 - 1/q."""
         for q in (0.5, 2 / 3, 0.9):
-            prof = O.estimate_L(O.igw(q))
+            prof = O.estimate_L(O.IGW(q))
             assert prof.converged
             assert prof.L == pytest.approx(2 - 1 / q, abs=1e-12)
             assert all(v == pytest.approx(2 - 1 / q, abs=1e-12)
                        for _, v in prof.L_probes)
 
     def test_L_zipf(self):
-        assert O.estimate_L(O.zipf_critical(1.5)).L == pytest.approx(0.5, abs=0.05)
+        assert O.estimate_L(O.ZipfCritical(1.5)).L == pytest.approx(0.5, abs=0.05)
         # the alpha = 2 boundary has log-divergent variance: probe deeper
-        prof = O.estimate_L(O.zipf_critical(2.0), js=range(8, 17, 2))
+        prof = O.estimate_L(O.ZipfCritical(2.0), js=range(8, 17, 2))
         assert prof.L == pytest.approx(0.0, abs=0.05)
 
     def test_L_light_tails_zero(self):
-        assert O.estimate_L(O.geometric_critical()).L == pytest.approx(0.0, abs=0.01)
-        assert O.estimate_L(O.critical_binary()).L == pytest.approx(0.0, abs=0.01)
+        assert O.estimate_L(O.GeometricCritical()).L == pytest.approx(0.0, abs=0.01)
+        assert O.estimate_L(O.from_spec("binary")).L == pytest.approx(0.0, abs=0.01)
 
     def test_L_needs_critical(self):
         with pytest.raises(ValueError):
-            O.estimate_L(O.table([0.6, 0, 0.4]))
+            O.estimate_L(O.FiniteTable([0.6, 0, 0.4]))
 
     def test_Lambda_values(self):
-        val, probes = O.estimate_Lambda(O.zipf_critical(1.5))
+        val, probes = O.estimate_Lambda(O.ZipfCritical(1.5))
         assert val == pytest.approx(1 / 3, abs=0.05)
-        val, _ = O.estimate_Lambda(O.igw(2 / 3))
+        val, _ = O.estimate_Lambda(O.IGW(2 / 3))
         assert val == pytest.approx(1 / 3, abs=0.05)
 
     def test_Lambda_not_applicable_marker(self):
-        assert O.estimate_Lambda(O.critical_binary()) is None
-        assert O.estimate_Lambda(O.geometric_critical()) is None
+        assert O.estimate_Lambda(O.from_spec("binary")) is None
+        assert O.estimate_Lambda(O.GeometricCritical()) is None
 
     def test_L_Lambda_consistency(self):
         """1/(2 - L) = 1 - Lambda when both exist."""
@@ -231,7 +231,7 @@ class TestSpecStrings:
             assert type(d) is type(d2) and d2.params == d.params
 
     def test_full_precision(self):
-        d = O.igw(0.666667)
+        d = O.IGW(0.666667)
         assert O.from_spec(d.spec_string()).q == 0.666667
         assert O.from_spec("igw:0.66666666666666663").spec_string() != d.spec_string()
 
@@ -243,6 +243,6 @@ class TestSpecStrings:
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
-            O.table([0.5, 0.1, 0.4])   # q1 must be 0
+            O.FiniteTable([0.5, 0.1, 0.4])   # q1 must be 0
         with pytest.raises(ValueError):
-            O.table([0.5, 0, 0.4])     # mass defect
+            O.FiniteTable([0.5, 0, 0.4])     # mass defect

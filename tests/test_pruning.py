@@ -10,7 +10,7 @@ import pytest
 from igwlab import pruning as P
 from igwlab import trees as T
 from igwlab.newick import from_newick, to_newick
-from igwlab.offspring import critical_binary, from_spec, igw
+from igwlab.offspring import IGW, from_spec
 from igwlab.rng import CounterStream
 from igwlab.sampler import iter_forest, sample_forest
 
@@ -22,7 +22,7 @@ def cherry():
 
 @pytest.fixture(scope="module")
 def forest():
-    trees, _ = sample_forest(igw(0.7), 31, 120, lam=1.0, budget=50000)
+    trees, _ = sample_forest(IGW(0.7), 31, 120, lam=1.0, budget=50000)
     return [t for t in trees if t is not None]
 
 
@@ -386,7 +386,8 @@ def test_forest_handles_none_slots():
     d = from_spec("binary")
     trees, _ = sample_forest(d, 5, 30, lam=1.0, budget=64)
     pf = P.PrunedForest(trees, "height", 0.5)
-    surv = pf.scatter(pf.survived, fill=False)
+    surv = np.zeros(len(trees), dtype=bool)
+    surv[pf.fa.slots] = pf.survived
     assert len(surv) == 30
     for i, t in enumerate(trees):
         if t is None:

@@ -16,7 +16,7 @@ from igwlab.trees import Forest
 
 class TestDeterminism:
     def test_same_seed_replicate_bit_identical(self):
-        d = O.igw(2 / 3)
+        d = O.IGW(2 / 3)
         cfg = S.SampleConfig(seed=10, replicate=4, edge_rate=1.0)
         a = S.sample_metric(d, cfg)
         b = S.sample_metric(d, cfg)
@@ -40,7 +40,7 @@ class TestDeterminism:
 
     def test_batch_composition_invariance(self):
         """Replicates do not interact: any sub-batch reproduces its slice."""
-        d = O.critical_binary()
+        d = O.from_spec("binary")
         allt, _ = S.sample_forest(d, 7, 30, lam=1.0, chunk=7)
         subt, _ = S.sample_forest(d, 7, 10, replicate0=13, lam=1.0, chunk=3)
         for a, b in zip(subt, allt[13:23]):
@@ -49,7 +49,7 @@ class TestDeterminism:
                 assert np.array_equal(a.length, b.length)
 
     def test_stats_match_trees(self):
-        d = O.igw(0.7)
+        d = O.IGW(0.7)
         trees, _ = S.sample_forest(d, 5, 50, lam=1.5)
         st = S.sample_stats(d, 5, 50, lam=1.5)
         for i, t in enumerate(trees):
@@ -67,7 +67,7 @@ class TestForest:
     def test_forest_equals_forest_of_its_trees(self, chunk, lam):
         """A sampled chunk's columns equal those of the list of its trees,
         censored slots included."""
-        d = O.critical_binary()
+        d = O.from_spec("binary")
         nslots = ncen = 0
         for forest, cen in S.iter_forest(d, 3, 40, budget=30, lam=lam, replicate0=9,
                                          chunk=chunk):
@@ -91,7 +91,7 @@ class TestForest:
 
     def test_forest_trees_equal_reference_sampler(self):
         """Trees built from a forest match the scalar sampler in dtype too."""
-        d = O.critical_binary()
+        d = O.from_spec("binary")
         (forest, cen), = S.iter_forest(d, 21, 30, budget=20, lam=1.0, replicate0=4)
         assert cen.any()
         for i, t in enumerate(forest):
@@ -115,15 +115,15 @@ class TestStructure:
                     assert t.is_planted and t.is_reduced
 
     def test_point_mass_single_edge(self):
-        st = S.sample_stats(O.table([1.0]), 1, 2000)
+        st = S.sample_stats(O.FiniteTable([1.0]), 1, 2000)
         assert np.all(st.edges == 1)
 
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError):
-            S.sample_shape(O.table([0.4, 0, 0.6]), S.SampleConfig(seed=1))
+            S.sample_shape(O.FiniteTable([0.4, 0, 0.6]), S.SampleConfig(seed=1))
 
     def test_budget_censors_as_value(self):
-        d = O.critical_binary()
+        d = O.from_spec("binary")
         out = [S.sample_shape(d, S.SampleConfig(seed=11, replicate=r, budget=8))
                for r in range(400)]
         ncen = sum(o.censored for o in out)
@@ -139,36 +139,46 @@ class TestStructure:
         with pytest.raises(ValueError):
             S.SampleConfig(seed=1, edge_rate=0.0)
         with pytest.raises(ValueError):
-            S.sample_metric(O.critical_binary(), S.SampleConfig(seed=1))
+            S.sample_metric(O.from_spec("binary"), S.SampleConfig(seed=1))
+
+    @pytest.mark.parametrize("kw", [dict(budget=0), dict(lam=0.0), dict(lam=-1.0)])
+    def test_batch_samplers_check_limits(self, kw):
+        """Budget 0 censored every replicate; lam 0 or below drew inf or
+        negative edge lengths."""
+        d = O.from_spec("binary")
+        with pytest.raises(ValueError):
+            S.sample_stats(d, 1, 3, **kw)
+        with pytest.raises(ValueError):
+            next(S.iter_forest(d, 1, 3, **kw))
 
 
 class TestStatistics:
     def test_offspring_frequencies_binary(self):
-        st = S.sample_stats(O.critical_binary(), 77, 30000)
+        st = S.sample_stats(O.from_spec("binary"), 77, 30000)
         tot = st.offspring_hist.sum()
         assert st.offspring_hist[0] / tot == pytest.approx(0.5, abs=0.005)
         assert st.offspring_hist[1] == 0
 
     def test_offspring_frequencies_heavy(self):
-        st = S.sample_stats(O.igw(2 / 3), 77, 30000)
+        st = S.sample_stats(O.IGW(2 / 3), 77, 30000)
         tot = st.offspring_hist.sum()
         assert st.offspring_hist[2] / tot == pytest.approx(0.25, abs=0.005)
 
-    def test_sample_offspring_stream(self):
-        d = O.igw(2 / 3)
+    def test_inverse_cdf_draws_from_a_stream(self):
+        d = O.IGW(2 / 3)
         st = CounterStream(5)
-        draws = np.array([S.sample_offspring(d, st) for _ in range(20000)])
+        draws = np.array([int(S._tables(d).lookup(np.array(st.uniform()))) for _ in range(20000)])
         assert (draws == 0).mean() == pytest.approx(2 / 3, abs=0.01)
         assert not np.any(draws == 1)
 
     def test_single_split_probability(self):
         """P(single edge) = q0: the progenitor's child dies immediately."""
-        st = S.sample_stats(O.critical_binary(), 900, 20000)
+        st = S.sample_stats(O.from_spec("binary"), 900, 20000)
         assert (st.edges == 1).mean() == pytest.approx(0.5, abs=0.01)
 
     def test_exponential_edge_lengths(self):
         """Pooled edge lengths are Exp(lam): mean 1/lam within 1%."""
-        trees, _ = S.sample_forest(O.igw(0.7), 13, 2000, lam=2.0)
+        trees, _ = S.sample_forest(O.IGW(0.7), 13, 2000, lam=2.0)
         pooled = np.concatenate([t.length[1:] for t in trees if t is not None])
         assert len(pooled) > 30000
         assert pooled.mean() == pytest.approx(0.5, rel=0.01)
@@ -178,26 +188,26 @@ class TestStatistics:
         """Tree length of the point-mass law is Exp(lam): KS check."""
         from igwlab.gof import ks_statistic, ks_threshold
 
-        st = S.sample_stats(O.table([1.0]), 3, 20000, lam=1.0)
+        st = S.sample_stats(O.FiniteTable([1.0]), 3, 20000, lam=1.0)
         ls = np.sort(st.lengths)
         D = ks_statistic(ls, lambda x: 1.0 - np.exp(-x))
         assert D <= ks_threshold(20000, 0.01)
 
     def test_empirical_height_cdf_binary(self):
         """P(height <= 2) = 1/2 for the binary law at rate 1."""
-        st = S.sample_stats(O.critical_binary(), 21, 30000, lam=1.0)
+        st = S.sample_stats(O.from_spec("binary"), 21, 30000, lam=1.0)
         h = st.heights[~st.censored]
         assert (h <= 2.0).mean() == pytest.approx(0.5, abs=0.01)
 
     def test_censor_rate_heavy_law(self):
         """IGW(0.9) censor rate at budget 1e6 stays below 1.5e-3."""
-        st = S.sample_stats(O.igw(0.9), 8, 20000)
+        st = S.sample_stats(O.IGW(0.9), 8, 20000)
         assert st.censor_rate < 1.5e-3
 
     def test_draw_histogram_counts_censored_draws(self):
         """The histogram records every draw made, even in censored trees."""
-        st = S.sample_stats(O.critical_binary(), 5, 500, budget=16)
-        outs = [S.sample_shape(O.critical_binary(),
+        st = S.sample_stats(O.from_spec("binary"), 5, 500, budget=16)
+        outs = [S.sample_shape(O.from_spec("binary"),
                                S.SampleConfig(seed=5, replicate=r, budget=16))
                 for r in range(500)]
         assert st.offspring_hist.sum() == sum(o.draws_consumed for o in outs)
@@ -206,10 +216,10 @@ class TestStatistics:
 class TestTableCache:
     def test_distinct_parameters_get_distinct_tables(self):
         """Laws whose parameters print alike under %g keep their own tables."""
-        a = S._tables(O.igw(0.666667))
+        a = S._tables(O.IGW(0.666667))
         b = S._tables(O.from_spec("igw:0.66666666666666663"))
         assert a is not b and a.dist.q != b.dist.q
-        assert S._tables(O.igw(0.666667)) is a
+        assert S._tables(O.IGW(0.666667)) is a
 
 
 @contextmanager
@@ -247,7 +257,7 @@ class TestTailDraws:
 
     def test_igw_tail_terms_equal_pmf(self):
         for q in (0.5, 2 / 3, 0.9):
-            d = O.igw(q)
+            d = O.IGW(q)
             for k0 in (0, 1, 2, 50, 5000):
                 terms = list(itertools.islice(d.pmf_tail_iter(k0), 200))
                 assert terms == [(k, d.pmf(k)) for k in range(k0, k0 + 200)]
@@ -255,7 +265,7 @@ class TestTailDraws:
     def test_igw_draw_past_the_table_returns(self):
         """Each tail term used to recompute pmf(k) from k = 2, so one igw:0.9
         draw just past the table ran for many minutes."""
-        tab = S._tables(O.igw(0.9))
+        tab = S._tables(O.IGW(0.9))
         u = tab.cum[-1] + (1.0 - tab.cum[-1]) * 0.01
         with _time_limit(5):
             assert int(tab.lookup(np.array([u]))[0]) == 1058103

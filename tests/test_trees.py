@@ -10,7 +10,7 @@ import pytest
 
 from igwlab import trees as T
 from igwlab.newick import from_newick, to_newick
-from igwlab.offspring import igw
+from igwlab.offspring import IGW
 from igwlab.rng import CounterStream
 from igwlab.sampler import sample_forest
 
@@ -23,7 +23,7 @@ def cherry():
 
 @pytest.fixture(scope="module")
 def random_forest():
-    trees, _ = sample_forest(igw(0.7), 4242, 60, lam=1.0, budget=50000)
+    trees, _ = sample_forest(IGW(0.7), 4242, 60, lam=1.0, budget=50000)
     return [t for t in trees if t is not None]
 
 
@@ -49,7 +49,7 @@ class TestBasics:
         assert cherry.is_planted and cherry.is_reduced
 
     def test_shape_drops_lengths(self, cherry):
-        s = T.shape(cherry)
+        s = cherry.shape()
         assert isinstance(s, T.CombinatorialTree)
         assert not isinstance(s, T.MetricTree)
         assert s.n_edges == 3
