@@ -83,8 +83,9 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be >= 1, not {getattr(self, name)!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, not {self.lam!r}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), not {self.alpha!r}")
+        for name in ("alpha", "survival_target"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), not {getattr(self, name)!r}")
 
     def distribution(self) -> OffspringDistribution:
         return from_spec(self.dist)

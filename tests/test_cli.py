@@ -139,7 +139,8 @@ def test_failed_run_keeps_existing_files(case, tmp_path, monkeypatch, capsys):
 
 # each exits 2 and writes nothing; they used to exit 0 (an empty file,
 # lengths that prune rejects, every replicate censored, a verdict on
-# nothing) or end in a traceback
+# nothing) or end in a traceback (survival target 0 with phi length never
+# ended)
 OUT_OF_RANGE = {
     "n": ["sample", "--dist", "binary", "--n", "0", "--out", "trees.newick"],
     "n-verify": ["verify", "height", "--dist", "igw:0.5", "--n", "0"],
@@ -150,6 +151,8 @@ OUT_OF_RANGE = {
                "--out", "trees.newick"],
     "alpha": ["verify", "height", "--dist", "igw:0.5", "--n", "1000", "--alpha", "0"],
     "chunk": ["semigroup", "--dist", "igw:0.5", "--n", "50", "--config", "chunk.cfg"],
+    "survival-target": ["thinning", "--dist", "binary", "--phi", "height",
+                        "--survival-target", "0", "--n", "200"],
 }
 
 
