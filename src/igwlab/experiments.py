@@ -164,9 +164,14 @@ def run_verify_size(spec: ExperimentSpec) -> gof.GofReport:
     """Chi-square of edge counts against the exact pmf for n <= 30 + tail.
 
     Prechecks that the closed form and the convolution oracle agree exactly
-    (rational arithmetic) before using it as the expected pmf.
+    (rational arithmetic) before using it as the expected pmf.  Censored
+    trees are counted in the open bucket above 30 edges, so the budget
+    must be at least 30.
     """
     d = _require_igw(spec)
+    if spec.budget < 30:
+        raise ValueError(f"the size law needs budget >= 30, not {spec.budget}: "
+                         "censored trees are counted as having more than 30 edges")
     qf = Fraction(d.q).limit_denominator(10 ** 6)
     exact = abs(float(qf) - d.q) < 1e-15
     if exact:

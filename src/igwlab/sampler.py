@@ -23,10 +23,21 @@ chunks to bound memory.  A chunk's forest is a columnar
 (by level, then tree, then breadth-first id), which the pruning engine
 consumes as is; :class:`~igwlab.trees.MetricTree` objects are built only
 when a caller indexes or iterates it.
+
+Forest chunks are drawn on every CPU in the process's affinity mask: a run
+of several chunks forks one worker per CPU, keeps at most that many chunks
+in flight and yields them in replicate order, so the caller reduces one
+chunk while the next ones are drawn.  Each chunk is a pure function of its
+replicate range, so the outputs are identical on any number of CPUs;
+``taskset -c 0`` runs everything in one process.  Up to (CPUs + 1) chunks
+can be held in memory at once.  Summary statistics are drawn in-process.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,16 +364,75 @@ def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
 
     The :class:`~igwlab.trees.Forest` holds the chunk's uncensored trees;
     as a sequence it has one entry per replicate, None where censored.
+    Several chunks are drawn in worker processes, one per available CPU
+    (see the module docstring); the chunks are the same either way.
     """
     _check_limits(budget, lam)
     if d.classify() == "supercritical":
         raise ValueError("sampling requires a critical or subcritical law")
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        reps = np.arange(replicate0 + lo, replicate0 + hi, dtype=np.int64)
-        keys = stream_keys(seed, reps)
-        cen, _, _, _, _, rows = _batch(d, keys, budget, lam, want_trees=True)
-        yield Forest.from_rows(cen, rows, metric=lam is not None), cen
+    end = replicate0 + n
+    starts = range(replicate0, end, chunk)
+    jobs = ((d, seed, lo, min(lo + chunk, end), budget, lam) for lo in starts)
+    workers = min(_cpus(), len(starts))
+    if workers > 1:
+        _tables(d)  # built once here, inherited by every forked worker
+        yield from _pooled(jobs, workers)
+    else:
+        for job in jobs:
+            yield _forest_chunk(*job)
+
+
+def _forest_chunk(d, seed, lo, hi, budget, lam):
+    """The forest of replicates lo..hi-1 and its censored mask."""
+    keys = stream_keys(seed, np.arange(lo, hi, dtype=np.int64))
+    cen, _, _, _, _, rows = _batch(d, keys, budget, lam, want_trees=True)
+    return Forest.from_rows(cen, rows, metric=lam is not None), cen
+
+
+def _cpus() -> int:
+    """CPUs this process may draw forest chunks on.
+
+    1 where processes cannot be forked or the affinity mask is unknown, and
+    inside a daemonic process (such as a pool worker), which may not start
+    processes of its own.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    mp = sys.modules.get("multiprocessing.process")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _pooled(jobs, workers: int):
+    """Run :func:`_forest_chunk` over ``jobs`` in forked workers, in order.
+
+    While the caller reduces one chunk, every worker draws one of the next
+    ``workers``; a chunk is submitted only when the caller asks for the
+    next, so at most ``workers`` + 1 chunks are held at once.  When the
+    generator finishes, is closed or raises, chunks not yet started are
+    cancelled and the workers are joined once their current chunk is done.
+    A worker is never killed mid-chunk: one killed while it writes its
+    chunk to the shared result pipe leaves a partial message there, on
+    which ``multiprocessing.Pool.terminate`` can wait forever.
+    """
+    # about 40 ms of imports, paid only by runs of several chunks
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy, scipy and igwlab
+    # again and rebuild the CDF table, which costs about as much as a chunk
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pending = deque()
+    try:
+        for job in jobs:
+            pending.append(pool.submit(_forest_chunk, *job))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_forest(d: OffspringDistribution, seed: int, n: int, **kw):

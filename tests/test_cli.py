@@ -139,8 +139,9 @@ def test_failed_run_keeps_existing_files(case, tmp_path, monkeypatch, capsys):
 
 # each exits 2 and writes nothing; they used to exit 0 (an empty file,
 # lengths that prune rejects, every replicate censored, a verdict on
-# nothing) or end in a traceback (survival target 0 with phi length never
-# ended)
+# nothing), end in a traceback (survival target 0 with phi length never
+# ended) or print a false failed verdict and exit 1 (verify size at a budget
+# below 30)
 OUT_OF_RANGE = {
     "n": ["sample", "--dist", "binary", "--n", "0", "--out", "trees.newick"],
     "n-verify": ["verify", "height", "--dist", "igw:0.5", "--n", "0"],
@@ -153,6 +154,7 @@ OUT_OF_RANGE = {
     "chunk": ["semigroup", "--dist", "igw:0.5", "--n", "50", "--config", "chunk.cfg"],
     "survival-target": ["thinning", "--dist", "binary", "--phi", "height",
                         "--survival-target", "0", "--n", "200"],
+    "budget-size": ["verify", "size", "--dist", "igw:0.5", "--n", "100", "--budget", "1"],
 }
 
 

@@ -52,6 +52,13 @@ class TestVerifyLaws:
         rep = xp.run_verify_size(replace(SPEC, dist="igw:0.66666666666666663"))
         assert rep.passed and rep.details["oracle_checked"]
 
+    def test_size_rejects_budget_below_30(self):
+        """A budget below 30 censors trees of at most 30 edges, which the
+        test filed above 30: a false failed verdict."""
+        with pytest.raises(ValueError, match="budget >= 30"):
+            xp.run_verify_size(replace(SPEC, n=100, budget=29))
+        assert xp.run_verify_size(replace(SPEC, n=100, budget=30)).n == 100
+
     def test_requires_power_family(self):
         with pytest.raises(ValueError):
             xp.run_verify_height(replace(SPEC, dist="geom:0.5"))
@@ -175,6 +182,21 @@ class TestColoringExperiment:
         assert out["thinned"].passed
         assert out["as_printed"]["rejected"]
         assert out["adjudication"] == "thinned"
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("run,kw", [(xp.run_thinning, dict(dist="binary", phi="length")),
+                                        (xp.run_coloring, dict(dist="binary", p=0.5))],
+                             ids=["thinning", "coloring"])
+    def test_one_and_two_cpus_give_equal_reports(self, run, kw, monkeypatch):
+        """Six chunks at a budget that censors, drawn in-process and by two
+        forked workers."""
+        spec = replace(SPEC, n=3000, budget=300, chunk=512, **kw)
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(smp, "_cpus", lambda: cpus)
+            reports.append(run(spec))
+        assert reports[0] == reports[1]
 
 
 class TestSemigroupExperiment:

@@ -2,6 +2,8 @@
 and statistical sanity of the generated laws."""
 
 import itertools
+import multiprocessing
+import os
 import signal
 from contextlib import contextmanager
 
@@ -103,6 +105,88 @@ class TestForest:
                 assert np.array_equal(t.parent, one.tree.parent)
                 assert np.array_equal(t.length, one.tree.length)
                 assert np.array_equal(t.gen_starts(), one.tree.gen_starts())
+
+
+COLUMNS = ("parent", "length", "tree", "level_starts", "slots", "censored")
+
+
+def _columns(dist, n, chunk, lam):
+    """Every chunk's columns, in the order iter_forest yields them."""
+    return [[getattr(forest, c) for c in COLUMNS]
+            for forest, _ in S.iter_forest(O.from_spec(dist), 3, n, budget=30, lam=lam,
+                                           replicate0=9, chunk=chunk)]
+
+
+class TestWorkers:
+    """Chunks drawn by forked workers are the chunks drawn in-process."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("lam", [1.0, None])
+    @pytest.mark.parametrize("dist", ["binary", "igw:0.5"])
+    def test_one_and_two_cpus_give_equal_chunks(self, dist, lam, chunk, monkeypatch):
+        n = 45 if chunk < 45 else chunk + 45   # several chunks, the last one short
+        pools = []
+        pooled = S._pooled
+        monkeypatch.setattr(S, "_pooled", lambda jobs, k: pools.append(k) or pooled(jobs, k))
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(S, "_cpus", lambda: cpus)
+            with _time_limit(60):
+                got[cpus] = _columns(dist, n, chunk, lam)
+        assert pools == [2]
+        assert len(got[1]) == len(got[2]) == -(-n // chunk)
+        assert any(cols[-1].any() for cols in got[1])   # the budget censors
+        for one, two in zip(got[1], got[2]):
+            for c, a, b in zip(COLUMNS, one, two):
+                assert a.dtype == b.dtype and np.array_equal(a, b), c
+
+    def test_closed_generator_stops_its_workers(self, monkeypatch):
+        """tree-io's set-up breaks out of the loop after the first chunk,
+        while the workers may still be sending chunks larger than a pipe's
+        buffer.  Killing a worker mid-send hung the shutdown of a
+        ``multiprocessing.Pool`` within a few such closes."""
+        monkeypatch.setattr(S, "_cpus", lambda: 2)
+        d = O.from_spec("binary")
+        with _time_limit(120):
+            for seed in range(20):
+                it = S.iter_forest(d, seed, 1 << 20, budget=2047, lam=1.0, chunk=512)
+                next(it)
+                it.close()
+                assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        """Forked workers inherit the patched engine; its error is raised
+        in the parent, and no worker outlives it."""
+        def fail(*a, **k):
+            raise ValueError("engine failed in a worker")
+
+        monkeypatch.setattr(S, "_cpus", lambda: 2)
+        monkeypatch.setattr(S, "_batch", fail)
+        with _time_limit(60), pytest.raises(ValueError, match="in a worker"):
+            list(S.iter_forest(O.from_spec("binary"), 3, 400, budget=100, chunk=50))
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_caller(self, monkeypatch):
+        """A worker that dies (say, killed for memory) fails the run
+        instead of leaving the caller waiting for its chunk."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        monkeypatch.setattr(S, "_cpus", lambda: 2)
+        monkeypatch.setattr(S, "_batch", lambda *a, **k: os._exit(1))
+        with _time_limit(60), pytest.raises(BrokenProcessPool):
+            list(S.iter_forest(O.from_spec("binary"), 3, 400, budget=100, chunk=50))
+        assert multiprocessing.active_children() == []
+
+    def test_pool_worker_draws_in_process(self, monkeypatch):
+        """A daemonic process may not start workers: a caller that runs
+        iter_forest in its own pool worker gets the chunks drawn in-process."""
+        monkeypatch.setattr(S.os, "sched_getaffinity", lambda pid: {0, 1})
+        want = _columns("binary", 45, 7, 1.0)
+        with _time_limit(60), multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(_columns, ("binary", 45, 7, 1.0))
+        assert len(got) == len(want)
+        for one, two in zip(want, got):
+            assert all(np.array_equal(a, b) for a, b in zip(one, two))
 
 
 class TestStructure:
