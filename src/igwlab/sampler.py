@@ -416,7 +416,7 @@ def _pooled(jobs, workers: int):
     chunk to the shared result pipe leaves a partial message there, on
     which ``multiprocessing.Pool.terminate`` can wait forever.
     """
-    # about 40 ms of imports, paid only by runs of several chunks
+    # imported here, so that a run of one chunk and every import of igwlab skip them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
