@@ -643,7 +643,7 @@ def pushforward_Q_prime(d: OffspringDistribution, p: float, z: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     if p == 1.0:
-        return d.Q_prime(z)
+        return 1.0 - d.one_minus_qprime(z)
     y = (1.0 - p) + p * z
     return 1.0 - d.one_minus_qprime(y) / d.one_minus_qprime(1.0 - p)
 

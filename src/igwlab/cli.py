@@ -88,15 +88,18 @@ def _sample(spec, args):
     d = from_spec(spec.dist)
     if args.out.endswith(".json"):
         st = smp.sample_stats(d, spec.seed, spec.n, budget=spec.budget, lam=spec.lam)
+        some = not st.censored.all()
+
+        def mean(x):  # over the uncensored trees (NaN at the others); null if none
+            return float(np.nanmean(x)) if some and x is not None else None
+
         payload = {
             "dist": spec.dist, "lam": spec.lam, "n": spec.n, "seed": spec.seed,
-            "censor_rate": st.censor_rate,
-            "edges_mean": float(st.edges[~st.censored].mean()),
-            "height_mean": None if st.heights is None else float(np.nanmean(st.heights)),
-            "length_mean": None if st.lengths is None else float(np.nanmean(st.lengths)),
+            "censor_rate": st.censor_rate, "edges_mean": mean(st.edges[~st.censored]),
+            "height_mean": mean(st.heights), "length_mean": mean(st.lengths),
         }
         with open(_tmp(args.out), "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
         return
     ncen = 0
     with open(_tmp(args.out), "w") as fh:
@@ -203,8 +206,11 @@ def _attractor(spec, args):
 
 def _report(spec, args):
     with open(args.path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             d = json.loads(line)
+            for key in ("test", "statistic", "threshold", "passed"):
+                if not isinstance(d, dict) or key not in d:
+                    raise ValueError(f"{args.path}, line {lineno}: the record has no {key!r}")
             print(("PASS" if d["passed"] else "FAIL"),
                   d["test"], d["statistic"], "<=", d["threshold"])
 

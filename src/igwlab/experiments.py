@@ -383,6 +383,8 @@ def run_thinning(spec: ExperimentSpec) -> gof.GofReport:
     d = spec.distribution()
     t = _threshold(spec)
     s = _tally(spec, _pruner(spec, t), _phi_lam(spec))
+    if not s.n_survived:
+        raise ValueError(f"no tree survived the pruning at t={t:.4g}")
     p = s.p_hat
     kmax = max((k for k, m in s.thinning), default=2)
     cells = [(k, m) for k in range(2, kmax + 1) for m in range(1, k + 1)

@@ -8,12 +8,14 @@ the canonical order of :mod:`igwlab.trees` and lengths as ``repr`` floats,
 so writing preserves every bit of the lengths, isometric trees get the same
 text, and round-tripping is the identity up to sibling order.  The writer
 walks the canonical preorder without recursion, so it takes trees of any
-depth.  The parser lays vertices out breadth-first by one stable sort of
-the preorder by depth (in preorder each subtree is contiguous, so vertices
-of equal depth come in the order of their parents).  It still recurses once
-per level, two frames deep, so Python's recursion limit sets the deepest
-readable tree (about 500 levels at the default limit of 1000): an iterative
-reader would change what the benchmark's deepest trees cost.
+depth.  The parser reads the vertices' parents, lengths and depths in
+preorder and hands them to the layout routine of :mod:`igwlab.trees`,
+whose stable sort by depth lays them out breadth-first (in preorder each
+subtree is contiguous, so vertices of equal depth come in the order of
+their parents).  It still recurses once per level, two frames deep, so
+Python's recursion limit sets the deepest readable tree (about 500 levels
+at the default limit of 1000): an iterative reader would change what the
+benchmark's deepest trees cost.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import re
 
 import numpy as np
 
-from .trees import MetricTree, _canonical_preorder
+from .trees import MetricTree, _by_level, _canonical_preorder
 
 __all__ = ["to_newick", "from_newick", "NewickError"]
 
@@ -87,17 +89,15 @@ def from_newick(text: str) -> MetricTree:
     if not s.endswith(";"):
         raise NewickError("missing terminating ';'", len(text) - 1)
     body = s[:-1].strip()
-    cols = ([-1], [0.0], [0])   # parent, length and depth of each vertex, in preorder
+    cols = ([0], [0.0], [0])   # parent, length and depth of each vertex, in preorder
     if body:
         pos = _parse_children(body, 0, 0, 1, cols)
         if pos != len(body):
             raise NewickError("trailing characters after tree", pos)
-    parent, length, depth = (np.array(c) for c in cols)
-    order = np.argsort(depth, kind="stable")   # preorder -> breadth-first
-    parent = np.argsort(order)[parent[order]]
+    up, length, depth = (np.array(c) for c in cols)
+    order, parent, gen_starts = _by_level(depth, up)
     parent[0] = -1
-    return MetricTree(parent, length[order], validate=False,
-                      gen_starts=np.cumsum(np.bincount(depth + 1)))
+    return MetricTree(parent, length[order], validate=False, gen_starts=gen_starts)
 
 
 def _parse_children(s: str, pos: int, parent: int, depth: int, cols) -> int:

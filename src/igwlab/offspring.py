@@ -108,9 +108,6 @@ class OffspringDistribution:
     def Q(self, z: float) -> float:
         raise NotImplementedError
 
-    def Q_prime(self, z: float) -> float:
-        raise NotImplementedError
-
     def log_Q_deriv(self, z: float, m: int) -> float:
         """log Q^(m)(z) for m >= 2, overflow-safe; -inf where it vanishes."""
         raise NotImplementedError
@@ -287,9 +284,6 @@ class IGW(OffspringDistribution):
     def Q(self, z: float) -> float:
         return z + self.q * (1.0 - z) ** self.inv_q
 
-    def Q_prime(self, z: float) -> float:
-        return 1.0 - (1.0 - z) ** (self.inv_q - 1.0)
-
     def log_Q_deriv(self, z: float, m: int) -> float:
         a = self.inv_q
         acc = math.log(self.q)
@@ -389,10 +383,6 @@ class FiniteTable(OffspringDistribution):
 
     def Q(self, z: float) -> float:
         return float(np.polyval(self.probs[::-1], z))
-
-    def Q_prime(self, z: float) -> float:
-        d = self.probs[1:] * self._k[1:]
-        return float(np.polyval(d[::-1], z))
 
     def log_Q_deriv(self, z: float, m: int) -> float:
         if m > self.kmax:
@@ -511,13 +501,6 @@ class ZipfCritical(OffspringDistribution):
             val = self._q0_mp + self._c_mp * (mp.polylog(self.alpha + 1, z) - z)
         return float(val)
 
-    def Q_prime(self, z: float) -> float:
-        if z == 0.0:
-            return 0.0
-        with mp.workdps(self.dps):
-            val = self._c_mp * (mp.polylog(self.alpha, z) - z) / z
-        return float(val)
-
     def log_Q_deriv(self, z: float, m: int) -> float:
         # positive-term direct sum in log space: summand peaks near
         # k* = (m - alpha - 1)/(-log z); cover the peak plus decay room
@@ -550,6 +533,8 @@ class ZipfCritical(OffspringDistribution):
     def one_minus_qprime(self, z: float) -> float:
         if z == 1.0:
             return 0.0
+        if z == 0.0:
+            return 1.0  # Q'(0) = q1 = 0
         extra = int(self.alpha * max(0.0, -math.log10(max(1.0 - z, 1e-300)))) + 10
         with mp.workdps(self.dps + extra):
             zm = mp.mpf(z)
@@ -627,10 +612,6 @@ class GeometricCritical(OffspringDistribution):
     def Q(self, z: float) -> float:
         rz = self.r * z
         return self.q0 + self.c * rz * rz / (1.0 - rz)
-
-    def Q_prime(self, z: float) -> float:
-        rz = self.r * z
-        return self.c * self.r * self.r * z * (2.0 - rz) / (1.0 - rz) ** 2
 
     def log_Q_deriv(self, z: float, m: int) -> float:
         return (

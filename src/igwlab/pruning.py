@@ -49,6 +49,7 @@ from .trees import (
     Forest,
     MetricTree,
     TreePoint,
+    _by_level,
     descendant_subtree,
 )
 
@@ -285,19 +286,13 @@ class ForestReduction:
         # sibling keys: a kept vertex's position; a cut leaf's falls just after
         # the last child of its parent (parents never decrease past the roots)
         last = fa.parent[fa.R:].searchsorted(fa.parent[cuts], side="right") + (fa.R - 1)
-        o = np.lexsort((np.concatenate((2 * rb, 2 * last + 1)), depth))
-        level_starts = np.concatenate(([0], np.bincount(depth).cumsum()))
-        newpos = np.empty(fa.V, dtype=np.int64)
-        newpos[v[o]] = np.arange(len(o))
-        parent = newpos[up[o]]
-        if (parent[R + 1:] < parent[R:-1]).any():  # some level's parents out of order
-            ls = level_starts.tolist()
-            for lo, hi in zip(ls[1:-1], ls[2:]):  # sort each level by parent
-                o[lo:hi] = seg = o[lo:hi][np.argsort(newpos[up[o[lo:hi]]], kind="stable")]
-                newpos[v[seg]] = np.arange(lo, hi)
-            parent = newpos[up[o]]
+        idx = np.empty(fa.V, dtype=np.int64)   # position -> index in v
+        idx[v] = np.arange(len(v))
+        o, parent, level_starts = _by_level(depth, idx[up],
+                                            np.concatenate((2 * rb, 2 * last + 1)))
         length = np.concatenate((self.acc[rb], self.cut_len_red))[o]
-        return Forest(parent, length, newpos[fa.tree[v[o]]], level_starts, fa.slots[roots],
+        # roots keep their order, so tree r's new rank is idx[r]
+        return Forest(parent, length, idx[fa.tree[v[o]]], level_starts, fa.slots[roots],
                       fa.censored, fa.metric)
 
     def extract_reduced(self, live_slot: int):

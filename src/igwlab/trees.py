@@ -2,9 +2,14 @@
 
 A tree is stored breadth-first: vertex 0 is the root, ``parent[i] < i`` for
 every non-root vertex, and vertices of equal depth are contiguous
-(``gen_starts`` records the level boundaries).  ``length[i]`` is the length
-of the edge joining ``i`` to its parent; ``length[0]`` is unused and zero.
-The empty tree is the single root vertex with no edges.
+(``gen_starts`` records the level boundaries, and every tree is built with
+them).  ``length[i]`` is the length of the edge joining ``i`` to its
+parent; ``length[0]`` is unused and zero.  The empty tree is the single
+root vertex with no edges.  A :class:`Forest` lays a chunk of trees out the
+same way, level by level across its trees.  One routine, ``_by_level``,
+puts columns given in any order into this layout: a list of trees, the
+pruning engine's reduced trees, the Newick reader's preorder and a parent
+array handed in from outside.
 
 Conventions
 -----------
@@ -90,13 +95,11 @@ class CombinatorialTree:
     def __init__(self, parent, *, validate: bool = True, gen_starts=None):
         parent = np.ascontiguousarray(parent, dtype=np.int32)
         if validate:  # the ordering may change
-            parent, gen_starts = _bfs_normalize(parent)[0], None
+            parent, _, gen_starts = _bfs_normalize(parent)
         self.parent = parent
         self.parent.setflags(write=False)
-        if gen_starts is not None:
-            gen_starts = np.ascontiguousarray(gen_starts, dtype=np.int64)
-            gen_starts.setflags(write=False)
-        self._gen_starts = gen_starts
+        self._gen_starts = np.ascontiguousarray(gen_starts, dtype=np.int64)
+        self._gen_starts.setflags(write=False)
         self._nchild = None
         self._code = None
 
@@ -139,9 +142,6 @@ class CombinatorialTree:
 
     def gen_starts(self) -> np.ndarray:
         """Offsets of BFS levels: vertices of depth g are gen[g]:gen[g+1]."""
-        if self._gen_starts is None:
-            self._gen_starts = _gen_starts_from_parent(self.parent)
-            self._gen_starts.setflags(write=False)
         return self._gen_starts
 
     # -- shape identity ---------------------------------------------------- #
@@ -170,7 +170,8 @@ class CombinatorialTree:
 
     @staticmethod
     def empty() -> "CombinatorialTree":
-        return CombinatorialTree(np.array([-1], dtype=np.int32), validate=False)
+        return CombinatorialTree(np.array([-1], dtype=np.int32), validate=False,
+                                 gen_starts=[0, 1])
 
 
 class MetricTree(CombinatorialTree):
@@ -184,8 +185,8 @@ class MetricTree(CombinatorialTree):
         if parent.shape != length.shape:
             raise ValueError("parent and length arrays must have equal shape")
         if validate:
-            parent, order = _bfs_normalize(parent)
-            length, gen_starts = length[order], None
+            parent, order, gen_starts = _bfs_normalize(parent)
+            length = length[order]
             if not ((0.0 < length[1:]) & (length[1:] < np.inf)).all():
                 raise ValueError("edge lengths must be finite and > 0")
         length[0] = 0.0
@@ -223,9 +224,8 @@ class MetricTree(CombinatorialTree):
 
     @staticmethod
     def empty() -> "MetricTree":
-        return MetricTree(
-            np.array([-1], dtype=np.int32), np.array([0.0]), validate=False
-        )
+        return MetricTree(np.array([-1], dtype=np.int32), np.array([0.0]), validate=False,
+                          gen_starts=[0, 1])
 
 
 class Forest(Sequence):
@@ -256,7 +256,7 @@ class Forest(Sequence):
     """
 
     def __init__(self, parent, length, tree, level_starts, slots, censored,
-                 metric: bool, *, nchild=None, by_tree=None):
+                 metric: bool, *, nchild=None):
         self.parent = parent
         self.length = length
         self.tree = tree
@@ -268,8 +268,6 @@ class Forest(Sequence):
         self.V = len(parent)    # vertices
         if nchild is not None:
             self.nchild = nchild
-        if by_tree is not None:
-            self.by_tree = by_tree
 
     @classmethod
     def from_rows(cls, censored, rows, metric: bool) -> "Forest":
@@ -313,9 +311,8 @@ class Forest(Sequence):
         slots = np.array([i for i, t in enumerate(trees) if t is not None and not t.is_empty],
                          dtype=np.int64)
         live = [trees[i] for i in slots]
-        R = len(live)
-        metric = bool(live) and isinstance(live[0], MetricTree)
-        if R == 1:
+        metric = isinstance(next((t for t in trees if t is not None), None), MetricTree)
+        if len(live) == 1:
             # one tree is already laid out by level: no sort
             t = live[0]
             V = t.n_vertices
@@ -325,23 +322,17 @@ class Forest(Sequence):
                        np.zeros(V, dtype=np.int64), t.gen_starts(), slots, censored,
                        metric, nchild=t.children_counts().astype(np.int64))
         ns = np.array([t.n_vertices for t in live], dtype=np.int64)
-        off = np.zeros(R + 1, dtype=np.int64)
-        np.cumsum(ns, out=off[1:])
-        V = int(off[-1])
-        par = np.concatenate([t.parent for t in live] or [[]]).astype(np.int64)
-        par += np.repeat(off[:-1], ns)
-        par[off[:-1]] = off[:-1]
-        gen = np.concatenate([np.repeat(np.arange(len(gs) - 1), np.diff(gs))
-                              for gs in (t.gen_starts() for t in live)] or [[]])
-        order = np.argsort(gen, kind="stable")   # level position -> tree-major id
-        pos = np.empty(V, dtype=np.int64)
-        pos[order] = np.arange(V)
-        ngen = int(gen.max()) + 1 if V else 0
-        length = (np.concatenate([t.length for t in live])[order] if metric
-                  else np.zeros(V))
-        return cls(pos[par[order]], length, np.repeat(np.arange(R), ns)[order],
-                   np.searchsorted(gen[order], np.arange(ngen + 1)), slots, censored,
-                   metric, by_tree=pos)
+        off = np.cumsum(ns) - ns   # each tree's root, the trees one after another
+        ints = [np.zeros(0, dtype=np.int64)]   # integer columns even with no live tree
+        up = np.concatenate(ints + [t.parent for t in live]) + np.repeat(off, ns)
+        up[off] = off
+        level = np.concatenate(ints + [np.repeat(np.arange(len(gs) - 1), np.diff(gs))
+                                       for gs in (t.gen_starts() for t in live)])
+        order, parent, level_starts = _by_level(level, up)
+        length = (np.concatenate([np.zeros(0)] + [t.length for t in live])[order] if metric
+                  else np.zeros(len(order)))
+        return cls(parent, length, np.repeat(np.arange(len(live)), ns)[order], level_starts,
+                   slots, censored, metric)
 
     # -- sizes and derived columns ---------------------------------------- #
 
@@ -425,14 +416,46 @@ class Forest(Sequence):
 # --------------------------------------------------------------------- #
 
 
+def _by_level(depth: np.ndarray, up: np.ndarray, key=None):
+    """The level layout of trees given as columns: ``(order, parent,
+    level_starts)``.
+
+    Vertex i has level ``depth[i]`` and parent ``up[i]`` (an index into
+    the same columns; a root points at itself).  Vertices are sorted by
+    level, then by ``key`` (default: their index), so the roots come first
+    in that order.  Position j of the layout holds vertex ``order[j]`` and
+    its parent's position ``parent[j]``.  When some level's parents do not
+    come out nondecreasing, that level is sorted by parent, keeping the key
+    order among siblings, one level at a time from the top.
+    """
+    n = len(depth)
+    order = (np.argsort(depth, kind="stable") if key is None
+             else np.lexsort((key, depth)))
+    level_starts = np.bincount(depth + 1, minlength=1).cumsum()
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    parent = pos[up[order]]
+    R = level_starts[1] if n else 0   # the roots
+    if (parent[R + 1:] < parent[R:-1]).any():
+        ls = level_starts.tolist()
+        for lo, hi in zip(ls[1:-1], ls[2:]):
+            order[lo:hi] = seg = order[lo:hi][np.argsort(pos[up[order[lo:hi]]], kind="stable")]
+            pos[seg] = np.arange(lo, hi)
+        parent = pos[up[order]]
+    return order, parent, level_starts
+
+
 def _bfs_normalize(parent: np.ndarray):
-    """Relabel vertices breadth-first; return (new_parent, old_order).
+    """Relabel vertices breadth-first; return (new_parent, old_order,
+    gen_starts).
 
     Validates that the array encodes exactly one root and a connected
-    acyclic parent structure.  Only parent arrays handed in from outside
-    the package (``validate=True``) come through here: the sampler, the
-    pruning engine, the Newick reader and :func:`descendant_subtree` lay
-    their trees out breadth-first as they build them.
+    acyclic parent structure: depths come from pointer doubling, and a
+    vertex still short of the root after ``log2(n)`` doublings lies on a
+    cycle.  Only parent arrays handed in from outside the package
+    (``validate=True``) come through here: the sampler and
+    :func:`descendant_subtree` build their trees breadth-first, and the
+    pruning engine and the Newick reader call :func:`_by_level` directly.
     """
     n = parent.shape[0]
     roots = (parent < 0).nonzero()[0]
@@ -440,47 +463,20 @@ def _bfs_normalize(parent: np.ndarray):
         raise ValueError(f"expected exactly one root, found {len(roots)}")
     if (parent >= n).any():
         raise ValueError("parent index out of range")
-    body = parent[1:]
-    if roots[0] == 0 and (body[1:] >= body[:-1]).all() and (body < np.arange(1, n)).all():
-        # already breadth-first: parents precede children and never decrease
-        return parent.copy(), np.arange(n)
-    root = int(roots[0])
-    order = np.empty(n, dtype=np.int64)
-    new_id = np.full(n, -1, dtype=np.int64)
-    order[0] = root
-    new_id[root] = 0
-    # children adjacency
-    ch_order = np.argsort(parent, kind="stable")
-    ch_starts = np.zeros(n + 2, dtype=np.int64)
-    counts = np.bincount(parent[parent >= 0], minlength=n)
-    ch_starts[2:] = np.cumsum(counts)
-    ch_starts += 1  # skip the root's own -1 entry
-    head, tail = 0, 1
-    while head < tail:
-        v = order[head]
-        kids = ch_order[ch_starts[v + 1]: ch_starts[v + 2]]
-        nk = len(kids)
-        if nk:
-            order[tail: tail + nk] = kids
-            new_id[kids] = np.arange(tail, tail + nk)
-            tail += nk
-        head += 1
-    if tail != n:
+    root = roots[0]
+    up = parent.astype(np.int64)
+    up[root] = root
+    depth = (parent >= 0).astype(np.int64)   # the distance from each vertex to jump[v]
+    jump = up
+    for _ in range(n.bit_length()):
+        depth += depth[jump]
+        jump = jump[jump]
+    if (jump != root).any():
         raise ValueError("parent structure is not a connected tree")
-    new_parent = np.empty(n, dtype=np.int32)
+    order, new_parent, gen_starts = _by_level(depth, up)
+    new_parent = new_parent.astype(np.int32)
     new_parent[0] = -1
-    new_parent[1:] = new_id[parent[order[1:]]]
-    return new_parent, order
-
-
-def _gen_starts_from_parent(parent: np.ndarray) -> np.ndarray:
-    # BFS layout: parent[1:] is nondecreasing, so the level after the one
-    # ending at e is the run of vertices whose parents lie before e
-    n = parent.shape[0]
-    starts = [0, 1]
-    while starts[-1] < n:
-        starts.append(int(np.searchsorted(parent[1:], starts[-1])) + 1)
-    return np.array(starts, dtype=np.int64)
+    return new_parent, order, gen_starts
 
 
 def _canonical_sweep(t: CombinatorialTree):

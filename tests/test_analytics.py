@@ -242,6 +242,18 @@ class TestPushforward:
         sub = O.FiniteTable([0.6, 0, 0.4])
         assert A.pushforward_Q_prime(sub, 0.5, 1.0) < 0.7
 
+    @pytest.mark.parametrize("spec", ["igw:0.7", "binary", "table:[0.6,0,0.4]", "zipf:1.5",
+                                      "geom:0.5"])
+    def test_Q_prime_at_p_one_is_the_laws_own(self, spec):
+        """At p = 1 the pushforward is the law itself, so G' is Q': a central
+        difference of Q, and q1 = 0 at z = 0."""
+        d = O.from_spec(spec)
+        h = 1e-6
+        for z in (0.1, 0.5, 0.9, 0.99):
+            slope = (d.Q(z + h) - d.Q(z - h)) / (2 * h)
+            assert A.pushforward_Q_prime(d, 1.0, z) == pytest.approx(slope, rel=1e-8)
+        assert A.pushforward_Q_prime(d, 1.0, 0.0) == 0.0
+
     def test_pushforward_Q_endpoints_and_subcritical_limit(self):
         sub = O.FiniteTable([0.6, 0, 0.4])
         for spec in ("igw:0.6", "zipf:1.5"):

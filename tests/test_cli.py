@@ -9,7 +9,9 @@ change its result.
 
 import argparse
 import dataclasses
+import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -140,8 +142,8 @@ def test_failed_run_keeps_existing_files(case, tmp_path, monkeypatch, capsys):
 # each exits 2 and writes nothing; they used to exit 0 (an empty file,
 # lengths that prune rejects, every replicate censored, a verdict on
 # nothing), end in a traceback (survival target 0 with phi length never
-# ended) or print a false failed verdict and exit 1 (verify size at a budget
-# below 30)
+# ended, thinning with no survivor divided by zero) or print a false failed
+# verdict and exit 1 (verify size at a budget below 30)
 OUT_OF_RANGE = {
     "n": ["sample", "--dist", "binary", "--n", "0", "--out", "trees.newick"],
     "n-verify": ["verify", "height", "--dist", "igw:0.5", "--n", "0"],
@@ -155,6 +157,8 @@ OUT_OF_RANGE = {
     "survival-target": ["thinning", "--dist", "binary", "--phi", "height",
                         "--survival-target", "0", "--n", "200"],
     "budget-size": ["verify", "size", "--dist", "igw:0.5", "--n", "100", "--budget", "1"],
+    "no-survivor": ["thinning", "--dist", "binary", "--phi", "length", "--t", "1e9",
+                    "--n", "200", "--budget", "300", "--seed", "1"],
 }
 
 
@@ -174,6 +178,34 @@ def test_censor_rate_overrun_exits_2(capsys):
     argv = ["verify", "height", "--dist", "igw:0.5", "--n", "500", "--budget", "10"]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == "igwlab verify height: censor rate 0.266 above bound 0.005\n"
+
+
+def test_all_censored_sample_writes_null_means(tmp_path, monkeypatch):
+    """It printed four numpy RuntimeWarnings and wrote NaN, which is not JSON."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["sample", "--dist", "binary", "--n", "2", "--seed", "5", "--budget", "1",
+                         "--lam", "1", "--out", "s.json"]) == 0
+    text = (tmp_path / "s.json").read_text()
+    got = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text}"))
+    assert got["censor_rate"] == 1.0
+    assert [got[k] for k in ("edges_mean", "height_mean", "length_mean")] == [None] * 3
+
+
+@pytest.mark.parametrize("record, key", [
+    ({"test": "a", "threshold": 1.0, "passed": True}, "statistic"),
+    ({"test": "a", "statistic": 0.5, "passed": True}, "threshold"),
+    ({"test": "a", "statistic": 0.5, "threshold": 1.0}, "passed"),
+    (5, "test")])
+def test_report_bad_record_exits_2(record, key, tmp_path, monkeypatch, capsys):
+    """A missing key ended in a KeyError traceback, and a record that is not
+    a JSON object in a TypeError one: exit 1, the code of a failed verdict."""
+    monkeypatch.chdir(tmp_path)
+    good = {"test": "a", "statistic": 0.5, "threshold": 1.0, "passed": True}
+    (tmp_path / "r.jsonl").write_text(f"{json.dumps(good)}\n{json.dumps(record)}\n")
+    assert cli_main(["report", "r.jsonl"]) == 2
+    assert capsys.readouterr().err == f"igwlab report: r.jsonl, line 2: the record has no {key!r}\n"
 
 
 def test_successful_run_replaces_existing_file(tmp_path, monkeypatch, capsys):

@@ -121,6 +121,13 @@ class TestInvarianceAndFalsification:
         assert rep.passed
         assert rep.details["p_hat"] == pytest.approx(0.5, abs=0.03)
 
+    def test_thinning_without_survivors_raises(self):
+        """It divided by the survival rate 0: a ZeroDivisionError."""
+        spec = replace(SPEC, dist="binary", phi="length", threshold=1e9, n=200, budget=300,
+                       seed=1)
+        with pytest.raises(ValueError, match="no tree survived the pruning at t=1e"):
+            xp.run_thinning(spec)
+
 
 class TestAttractors:
     def test_gf_rows_monotone_toward_limit(self):

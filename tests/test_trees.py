@@ -8,6 +8,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from igwlab import pruning as P
 from igwlab import trees as T
 from igwlab.newick import from_newick, to_newick
 from igwlab.offspring import IGW
@@ -61,6 +62,22 @@ class TestBasics:
     def test_two_roots_rejected(self):
         with pytest.raises(ValueError):
             T.CombinatorialTree(np.array([-1, -1], dtype=np.int32))
+
+
+class TestForestWithoutLiveTrees:
+    """A list of trees with no live tree read its kind from the live trees
+    only, so its empty slots came back shape-only."""
+
+    @pytest.mark.parametrize("kind", [T.MetricTree, T.CombinatorialTree])
+    @pytest.mark.parametrize("slots", [[0], [None, 0], [0, None, 0]])
+    def test_empty_slots_keep_their_kind(self, kind, slots):
+        trees = [None if s is None else kind.empty() for s in slots]
+        f = T.Forest.from_trees(trees)
+        assert f.R == f.V == 0 and f.ngen == 0 and f.metric == (kind is T.MetricTree)
+        assert [type(t) for t in f] == [type(t) for t in trees]
+        if kind is T.MetricTree:
+            for red in (P.PrunedForest(trees, "length", 1.0), P.color_forest(trees, 0.5, 1)):
+                assert [type(t) for t in red.reduced()] == [type(t) for t in f]
 
 
 class TestSeriesReduce:
