@@ -207,7 +207,10 @@ def _attractor(spec, args):
 def _report(spec, args):
     with open(args.path) as fh:
         for lineno, line in enumerate(fh, 1):
-            d = json.loads(line)
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{args.path}, line {lineno}, column {e.colno}: {e.msg}") from None
             for key in ("test", "statistic", "threshold", "passed"):
                 if not isinstance(d, dict) or key not in d:
                     raise ValueError(f"{args.path}, line {lineno}: the record has no {key!r}")

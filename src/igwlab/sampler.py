@@ -21,8 +21,10 @@ no tree storage) and forests for the pruning experiments, yielded in
 chunks to bound memory.  A chunk's forest is a columnar
 :class:`~igwlab.trees.Forest` in the order the engine generates vertices
 (by level, then tree, then breadth-first id), which the pruning engine
-consumes as is; :class:`~igwlab.trees.MetricTree` objects are built only
-when a caller indexes or iterates it.
+consumes as is.  The engine writes these columns itself as it draws
+(``trees._by_level`` lays out every other tree batch);
+:class:`~igwlab.trees.MetricTree` objects are built only when a caller
+indexes or iterates the forest.
 
 Forest chunks are drawn on every CPU in the process's affinity mask: a run
 of several chunks forks one worker per CPU, keeps at most that many chunks
@@ -75,12 +77,20 @@ class SampleConfig:
         _check_limits(self.budget, self.edge_rate)
 
 
-def _check_limits(budget: int, lam: float | None):
-    """The node budget and edge rate (None: shapes only) every sampler takes."""
+def _check_limits(budget: int, lam: float | None, d: OffspringDistribution | None = None,
+                  n: int = 0, chunk: int = 1):
+    """The limits every sampler takes: node budget, edge rate (None: shapes
+    only), law (None: not known yet), and replicate count and chunk size."""
     if budget < 1:
         raise ValueError("node budget must be >= 1")
     if lam is not None and not lam > 0:
         raise ValueError("edge rate must be > 0")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if d is not None and d.classify() == "supercritical":
+        raise ValueError("sampling requires a critical or subcritical law")
 
 
 @dataclass(frozen=True)
@@ -203,8 +213,7 @@ def sample_metric(d: OffspringDistribution, cfg: SampleConfig) -> SampleOutcome:
 
 def _sample_one(d: OffspringDistribution, cfg: SampleConfig, metric: bool) -> SampleOutcome:
     """Scalar BFS generation; the vectorized engine must match it exactly."""
-    if d.classify() == "supercritical":
-        raise ValueError("sampling requires a critical or subcritical law")
+    _check_limits(cfg.budget, cfg.edge_rate, d)
     tab = _tables(d)
     key = np.uint64(stream_key(cfg.seed, cfg.replicate))
     lam = cfg.edge_rate
@@ -255,10 +264,11 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
            lam: float | None, want_trees: bool):
     """One chunk of replicates, generation-synchronous across trees.
 
-    Returns (censored, counts, hist, heights, lengths, rows) where rows is
-    a list of per-generation tuples (slot, parent_pos, elen) covering every
-    processed vertex, ``parent_pos`` indexing the previous generation (the
-    roots, one per slot, for the first), or None when want_trees is False.
+    Returns (censored, counts, hist, heights, lengths, forest), where forest
+    is the chunk's :class:`~igwlab.trees.Forest`, or None when want_trees is
+    False.  Its columns are written level by level as the vertices are
+    drawn, each parent as its position in the whole chunk; the vertices of
+    censored trees are dropped at the end.
     """
     tab = _tables(d)
     R = len(keys)
@@ -267,12 +277,14 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
     hist = np.zeros(_HIST_SIZE, dtype=np.int64)
     heights = np.zeros(R) if lam is not None else None
     lengths = np.zeros(R) if lam is not None else None
-    rows: list | None = [] if want_trees else None
 
     # frontier state, kept sorted by slot; every vertex j >= 1 passes through
     f_slot = np.arange(R, dtype=np.int64)
     f_j = np.ones(R, dtype=np.int64)
-    f_ppos = f_slot
+    f_ppos = f_slot   # chunk positions of the parents: the roots come first
+    if want_trees:    # the columns, one array per level; each root is its own parent
+        slot_col, parent_col, length_col = [f_slot], [f_slot], [np.zeros(R)]
+        top = R       # the chunk position of the frontier's first vertex
     f_depth = np.zeros(R) if lam is not None else None
     elen = None
 
@@ -284,7 +296,9 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
             elen = -np.log(u_len) / lam
             depth = f_depth + elen
         if want_trees:
-            rows.append((f_slot, f_ppos, elen))
+            slot_col.append(f_slot)
+            parent_col.append(f_ppos)
+            length_col.append(elen)
         # frontier is sorted by slot: all per-slot reductions via segments,
         # so per-generation work stays proportional to the frontier size
         seg = np.concatenate(([0], np.flatnonzero(np.diff(f_slot)) + 1))
@@ -300,7 +314,8 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
             break
         child_slot = np.repeat(f_slot, ks)
         if want_trees:
-            child_ppos = np.repeat(np.arange(len(f_slot)), ks)
+            child_ppos = np.repeat(np.arange(top, top + len(f_slot)), ks)
+            top += len(f_slot)
         if lam is not None:
             child_pdepth = np.repeat(depth, ks)
         block_start = np.concatenate(([0], np.cumsum(seg_children)[:-1]))
@@ -323,7 +338,23 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
         if lam is not None:
             f_depth = child_pdepth
 
-    return censored, counts, hist, heights, lengths, rows
+    if not want_trees:
+        return censored, counts, hist, heights, lengths, None
+    # one mask pass drops the vertices of censored trees and the levels left empty
+    level_starts = np.concatenate(([0], np.cumsum([len(c) for c in slot_col])))
+    slot, parent = np.concatenate(slot_col), np.concatenate(parent_col)
+    length = np.concatenate(length_col) if lam is not None else None
+    if censored.any():
+        keep = ~censored[slot]
+        kept = np.cumsum(keep)   # a kept vertex's new position, plus one
+        parent, slot = kept[parent[keep]] - 1, slot[keep]
+        length = length[keep] if lam is not None else None
+        # a level with no kept vertex has none below it either
+        level_starts = np.unique(np.concatenate(([0], kept[level_starts[1:] - 1])))
+    forest = Forest(parent, length if lam is not None else np.zeros(len(parent)),
+                    (np.cumsum(~censored) - 1)[slot], level_starts,
+                    np.flatnonzero(~censored), censored, lam is not None)
+    return censored, counts, hist, heights, lengths, forest
 
 
 # --------------------------------------------------------------------- #
@@ -335,9 +366,7 @@ def sample_stats(d: OffspringDistribution, seed: int, n: int, *,
                  budget: int = 1_000_000, lam: float | None = None,
                  replicate0: int = 0, chunk: int = 131072) -> StatsSample:
     """Heights/lengths/edge counts for replicates replicate0..replicate0+n-1."""
-    _check_limits(budget, lam)
-    if d.classify() == "supercritical":
-        raise ValueError("sampling requires a critical or subcritical law")
+    _check_limits(budget, lam, d, n, chunk)
     censored = np.zeros(n, dtype=bool)
     edges = np.zeros(n, dtype=np.int64)
     heights = np.zeros(n) if lam is not None else None
@@ -367,9 +396,7 @@ def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
     Several chunks are drawn in worker processes, one per available CPU
     (see the module docstring); the chunks are the same either way.
     """
-    _check_limits(budget, lam)
-    if d.classify() == "supercritical":
-        raise ValueError("sampling requires a critical or subcritical law")
+    _check_limits(budget, lam, d, n, chunk)
     end = replicate0 + n
     starts = range(replicate0, end, chunk)
     jobs = ((d, seed, lo, min(lo + chunk, end), budget, lam) for lo in starts)
@@ -385,8 +412,8 @@ def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
 def _forest_chunk(d, seed, lo, hi, budget, lam):
     """The forest of replicates lo..hi-1 and its censored mask."""
     keys = stream_keys(seed, np.arange(lo, hi, dtype=np.int64))
-    cen, _, _, _, _, rows = _batch(d, keys, budget, lam, want_trees=True)
-    return Forest.from_rows(cen, rows, metric=lam is not None), cen
+    forest = _batch(d, keys, budget, lam, want_trees=True)[-1]
+    return forest, forest.censored
 
 
 def _cpus() -> int:

@@ -6,10 +6,10 @@ every non-root vertex, and vertices of equal depth are contiguous
 them).  ``length[i]`` is the length of the edge joining ``i`` to its
 parent; ``length[0]`` is unused and zero.  The empty tree is the single
 root vertex with no edges.  A :class:`Forest` lays a chunk of trees out the
-same way, level by level across its trees.  One routine, ``_by_level``,
-puts columns given in any order into this layout: a list of trees, the
-pruning engine's reduced trees, the Newick reader's preorder and a parent
-array handed in from outside.
+same way, level by level across its trees; the sampler writes a chunk's
+columns in it as it draws.  One routine, ``_by_level``, lays out columns
+given in any other order: a list of trees, the pruning engine's reduced
+trees, the Newick reader's preorder and a parent array from outside.
 
 Conventions
 -----------
@@ -234,9 +234,10 @@ class Forest(Sequence):
     Level 0 holds the roots of the R live trees in chunk order; every
     later level is sorted by tree, then by breadth-first id within the
     tree, so parents never decrease along a level and the children of a
-    vertex are a contiguous run of the next level.  This is the order in
-    which the sampler generates vertices, and the order the pruning
-    engine sweeps.  Columns, one entry per vertex:
+    vertex are a contiguous run of the next level.  The sampler draws a
+    chunk's vertices in this order and writes these columns itself
+    (``_by_level`` lays out every other forest); the pruning engine sweeps
+    them in it.  Columns, one entry per vertex:
 
     * ``parent``: position of the parent (int64); each root points at itself;
     * ``length``: length of the edge above the vertex (0 at roots, and
@@ -268,39 +269,6 @@ class Forest(Sequence):
         self.V = len(parent)    # vertices
         if nchild is not None:
             self.nchild = nchild
-
-    @classmethod
-    def from_rows(cls, censored, rows, metric: bool) -> "Forest":
-        """Build from the sampler's per-level rows ``(slot, parent_pos,
-        edge_length)``, where ``parent_pos`` indexes the previous level
-        and level 0 is one root per chunk slot.  Rows of censored slots
-        are dropped."""
-        n = len(censored)
-        sizes = [n] + [len(r[0]) for r in rows]
-        starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        slot = np.concatenate([np.arange(n, dtype=np.int64)] + [r[0] for r in rows])
-        parent = np.concatenate([np.arange(n, dtype=np.int64)]
-                                + [r[1] + starts[g] for g, r in enumerate(rows)])
-        if metric:
-            length = np.concatenate([np.zeros(n)] + [r[2] for r in rows])
-        live_rank = np.cumsum(~censored) - 1
-        if censored.any():
-            keep = ~censored[slot]
-            kept = np.cumsum(keep)
-            parent = (kept - 1)[parent[keep]]
-            slot = slot[keep]
-            if metric:
-                length = length[keep]
-            ends = kept[starts[1:] - 1]
-            nlev = int(np.count_nonzero(np.diff(ends, prepend=0)))
-            level_starts = np.concatenate(([0], ends[:nlev]))
-        else:
-            level_starts = starts
-        if not metric:
-            length = np.zeros(len(parent))
-        slots = np.flatnonzero(~censored)
-        return cls(parent, length, live_rank[slot], level_starts, slots, censored, metric)
 
     @classmethod
     def from_trees(cls, trees) -> "Forest":

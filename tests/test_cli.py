@@ -208,6 +208,17 @@ def test_report_bad_record_exits_2(record, key, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"igwlab report: r.jsonl, line 2: the record has no {key!r}\n"
 
 
+def test_report_line_not_json_exits_2(tmp_path, monkeypatch, capsys):
+    """Each line was decoded alone, so the message counted lines within the
+    bad line (line 1) and named neither the file nor its line."""
+    monkeypatch.chdir(tmp_path)
+    good = json.dumps({"test": "a", "statistic": 0.5, "threshold": 1.0, "passed": True})
+    (tmp_path / "r.jsonl").write_text(f"{good}\n" * 4 + "{bad\n")
+    assert cli_main(["report", "r.jsonl"]) == 2
+    assert capsys.readouterr().err == ("igwlab report: r.jsonl, line 5, column 2: Expecting "
+                                       "property name enclosed in double quotes\n")
+
+
 def test_successful_run_replaces_existing_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trees.newick").write_text("(:1.0);\n")

@@ -225,15 +225,22 @@ class TestStructure:
         with pytest.raises(ValueError):
             S.sample_metric(O.from_spec("binary"), S.SampleConfig(seed=1))
 
-    @pytest.mark.parametrize("kw", [dict(budget=0), dict(lam=0.0), dict(lam=-1.0)])
+    @pytest.mark.parametrize("kw", [dict(budget=0), dict(lam=0.0), dict(lam=-1.0),
+                                    dict(chunk=0), dict(chunk=-1), dict(n=-3),
+                                    dict(d="table:[0.2,0,0.8]")])
     def test_batch_samplers_check_limits(self, kw):
         """Budget 0 censored every replicate; lam 0 or below drew inf or
-        negative edge lengths."""
-        d = O.from_spec("binary")
-        with pytest.raises(ValueError):
-            S.sample_stats(d, 1, 3, **kw)
-        with pytest.raises(ValueError):
-            next(S.iter_forest(d, 1, 3, **kw))
+        negative edge lengths; chunk -1 gave every tree 0 edges in
+        sample_stats, chunk -1 or n -3 no chunk at all in iter_forest, and
+        chunk 0 failed in range() with a message that named no argument."""
+        match = {"budget": "node budget", "lam": "edge rate", "chunk": "chunk must",
+                 "n": "n must", "d": "critical or subcritical"}[next(iter(kw))]
+        kw = {"d": "binary", "seed": 1, "n": 3, **kw}
+        kw["d"] = O.from_spec(kw["d"])
+        with pytest.raises(ValueError, match=match):
+            S.sample_stats(**kw)
+        with pytest.raises(ValueError, match=match):
+            next(S.iter_forest(**kw))
 
 
 class TestStatistics:
