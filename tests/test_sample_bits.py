@@ -1,4 +1,4 @@
-"""Sampled forest chunks pinned bit for bit.
+"""Sampled forest chunks and summary statistics pinned bit for bit.
 
 Every verdict reads the sampler's chunks through their columns, so the
 order in which a chunk lays out its vertices, and which of them it drops
@@ -8,6 +8,12 @@ by SHA-256, for every chunk ``iter_forest`` yields: six laws, metric and
 shape-only, over (budget, chunk) pairs that give an all-censored chunk
 (budget 1), chunks of one tree and partly censored chunks.  The values were
 recorded when the sampler handed per-level rows to a separate layout step.
+
+``sample_stats`` is pinned the same way: ``censored``, ``edges``,
+``heights``, ``lengths`` and ``offspring_hist`` for the same laws over
+(n, budget) pairs from no replicate to 300,000, which spans several
+chunks.  These values were recorded when ``sample_stats`` drew its chunks
+in its own loop, in one process.
 """
 
 import hashlib
@@ -15,12 +21,19 @@ import hashlib
 import pytest
 
 from igwlab.offspring import from_spec
-from igwlab.sampler import iter_forest
+from igwlab.sampler import iter_forest, sample_stats
 
 SPECS = ("binary", "igw:0.5", "igw:0.8", "zipf:1.5", "geom:0.3", "table:[0.55,0,0.35,0.1]")
 # (n, budget, chunk); at budget 1 a tree of more than one edge is censored,
 # so chunks of one tree are often all censored
 CASES = ((16, 1, 1), (20, 1, 8), (12, 10_000, 1), (60, 40, 16), (90, 400, 32), (50, 5000, 50))
+# (n, budget) for sample_stats: no replicate, all censored, partly censored,
+# and several chunks
+STATS_CASES = ((0, 10), (16, 1), (60, 40), (2000, 5000), (300_000, 30))
+
+
+def _update(h, a):
+    h.update(f"{a.dtype.str}:{len(a)}\0".encode() + a.tobytes())
 
 
 def _digest(spec, lam) -> str:
@@ -31,7 +44,20 @@ def _digest(spec, lam) -> str:
             assert forest.censored is cen
             for a in (forest.parent, forest.length, forest.tree, forest.level_starts,
                       forest.slots, forest.censored):
-                h.update(f"{a.dtype.str}:{len(a)}\0".encode() + a.tobytes())
+                _update(h, a)
+    return h.hexdigest()
+
+
+def _stats_digest(spec, lam) -> str:
+    h = hashlib.sha256()
+    for n, budget in STATS_CASES:
+        st = sample_stats(from_spec(spec), 17, n, budget=budget, lam=lam)
+        for a in (st.censored, st.edges, st.heights, st.lengths, st.offspring_hist):
+            if a is None:   # heights and lengths of a shape-only draw
+                assert lam is None
+                h.update(b"None\0")
+            else:
+                _update(h, a)
     return h.hexdigest()
 
 
@@ -58,3 +84,28 @@ DIGESTS = {
 @pytest.mark.parametrize("spec", SPECS)
 def test_chunk_columns(spec, lam):
     assert _digest(spec, lam) == DIGESTS[spec, lam]
+
+
+# (spec, lam) -> digest over every sample of STATS_CASES
+STATS_DIGESTS = {
+    ("binary", 1.0): "2dac685a4c927efbe32d3b15475d1aa8d8faf61f463b4bc6a9c3bdddb5546eaa",
+    ("binary", None): "f5e60965c374eb5a039805160cc1b366b6465e24cf0771215a7b91809b9b500d",
+    ("igw:0.5", 1.0): "2dac685a4c927efbe32d3b15475d1aa8d8faf61f463b4bc6a9c3bdddb5546eaa",
+    ("igw:0.5", None): "f5e60965c374eb5a039805160cc1b366b6465e24cf0771215a7b91809b9b500d",
+    ("igw:0.8", 1.0): "9b05739a9ee6c552be3e0f2f9ef18a4c61eb1d81e2b27743eb8500e707f73644",
+    ("igw:0.8", None): "0af03ac0df9d10b7ecdf62efad68c86b7eff437916c6ffca8669026ec6ecb5af",
+    ("zipf:1.5", 1.0): "db7e9cfdcd09606fbebf8ae8cdf317fb4cae943301e23d06ab27778e4825fc46",
+    ("zipf:1.5", None): "dd4c112941e6939163121c3d14b64715745f44b44f65a5815d6f7cfd33de05e5",
+    ("geom:0.3", 1.0): "65bd3b3447b435ce0888dcc177cf27a60cb89f972334db34ac009f3ec9cc587a",
+    ("geom:0.3", None): "16bb2dfc2c6d89b0dd0403ded30d60e745cc2e15d94b6f60bdc7aa541b002a1a",
+    ("table:[0.55,0,0.35,0.1]", 1.0):
+        "6e7c991eddee939a81df68565a611c79465d2b37cf87912b597467d0ae9f0a9a",
+    ("table:[0.55,0,0.35,0.1]", None):
+        "48de2a32ff595fbcaa22faab7eedf7d3320e35f57220eb202b39b156c7712a88",
+}
+
+
+@pytest.mark.parametrize("lam", [1.0, None], ids=["metric", "shape"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_stats_columns(spec, lam):
+    assert _stats_digest(spec, lam) == STATS_DIGESTS[spec, lam]
