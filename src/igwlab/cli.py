@@ -205,6 +205,7 @@ def _attractor(spec, args):
 
 
 def _report(spec, args):
+    lineno = 0
     with open(args.path) as fh:
         for lineno, line in enumerate(fh, 1):
             try:
@@ -216,6 +217,8 @@ def _report(spec, args):
                     raise ValueError(f"{args.path}, line {lineno}: the record has no {key!r}")
             print(("PASS" if d["passed"] else "FAIL"),
                   d["test"], d["statistic"], "<=", d["threshold"])
+    if not lineno:
+        raise ValueError(f"{args.path}: the file has no record")
 
 
 # every option by the name it is read under: (flags, argparse keywords).  A

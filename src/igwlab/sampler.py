@@ -26,13 +26,13 @@ consumes as is.  The engine writes these columns itself as it draws
 :class:`~igwlab.trees.MetricTree` objects are built only when a caller
 indexes or iterates the forest.
 
-Forest chunks are drawn on every CPU in the process's affinity mask: a run
-of several chunks forks one worker per CPU, keeps at most that many chunks
-in flight and yields them in replicate order, so the caller reduces one
-chunk while the next ones are drawn.  Each chunk is a pure function of its
-replicate range, so the outputs are identical on any number of CPUs;
-``taskset -c 0`` runs everything in one process.  Up to (CPUs + 1) chunks
-can be held in memory at once.  Summary statistics are drawn in-process.
+Both collectors draw their chunks through one runner, on every CPU in the
+process's affinity mask: a run of several chunks forks one worker per CPU,
+keeps at most that many chunks in flight and hands them back in replicate
+order, so the caller reduces one chunk while the next ones are drawn.  Each
+chunk is a pure function of its replicate range, so the outputs are
+identical on any number of CPUs; ``taskset -c 0`` runs everything in one
+process.  Up to (CPUs + 1) chunks can be held in memory at once.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ __all__ = [
 _TABLE_KMAX = 1 << 20
 _TABLE_TAIL_EPS = 1e-18
 _HIST_SIZE = 512
+_STATS_CHUNK = 131072   # replicates per sample_stats chunk
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class StatsSample:
 
     @property
     def censor_rate(self) -> float:
-        return self.n_censored / len(self.censored)
+        return self.n_censored / max(len(self.censored), 1)
 
 
 # --------------------------------------------------------------------- #
@@ -363,20 +364,17 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
 
 
 def sample_stats(d: OffspringDistribution, seed: int, n: int, *,
-                 budget: int = 1_000_000, lam: float | None = None,
-                 replicate0: int = 0, chunk: int = 131072) -> StatsSample:
-    """Heights/lengths/edge counts for replicates replicate0..replicate0+n-1."""
-    _check_limits(budget, lam, d, n, chunk)
+                 budget: int = 1_000_000, lam: float | None = None) -> StatsSample:
+    """Heights/lengths/edge counts for replicates 0..n-1."""
+    _check_limits(budget, lam, d, n)
     censored = np.zeros(n, dtype=bool)
     edges = np.zeros(n, dtype=np.int64)
     heights = np.zeros(n) if lam is not None else None
     lengths = np.zeros(n) if lam is not None else None
     hist = np.zeros(_HIST_SIZE, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        reps = np.arange(replicate0 + lo, replicate0 + hi, dtype=np.int64)
-        keys = stream_keys(seed, reps)
-        cen, counts, h, hts, lens, _ = _batch(d, keys, budget, lam, want_trees=False)
+    parts = _chunks(d, seed, 0, n, _STATS_CHUNK, budget, lam, want_trees=False)
+    for (cen, counts, h, hts, lens, _), lo in zip(parts, range(0, n, _STATS_CHUNK)):
+        hi = lo + len(cen)
         censored[lo:hi] = cen
         edges[lo:hi] = np.where(cen, -1, counts)
         if lam is not None:
@@ -389,35 +387,37 @@ def sample_stats(d: OffspringDistribution, seed: int, n: int, *,
 def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
                 budget: int = 1_000_000, lam: float | None = None,
                 replicate0: int = 0, chunk: int = 4096):
-    """Yield (forest, censored_mask) chunk by chunk.
-
-    The :class:`~igwlab.trees.Forest` holds the chunk's uncensored trees;
-    as a sequence it has one entry per replicate, None where censored.
-    Several chunks are drawn in worker processes, one per available CPU
-    (see the module docstring); the chunks are the same either way.
-    """
+    """Yield (forest, censored_mask) chunk by chunk.  The chunk's
+    :class:`~igwlab.trees.Forest` holds its uncensored trees; as a sequence
+    it has one entry per replicate, None where censored."""
     _check_limits(budget, lam, d, n, chunk)
+    for *_, forest in _chunks(d, seed, replicate0, n, chunk, budget, lam, want_trees=True):
+        yield forest, forest.censored
+
+
+def _chunks(d, seed, replicate0, n, chunk, budget, lam, want_trees):
+    """:func:`_batch` outputs for replicates replicate0..replicate0+n-1, ``chunk`` at
+    a time, in order; several chunks are drawn on every CPU (module docstring)."""
     end = replicate0 + n
     starts = range(replicate0, end, chunk)
-    jobs = ((d, seed, lo, min(lo + chunk, end), budget, lam) for lo in starts)
+    jobs = ((d, seed, lo, min(lo + chunk, end), budget, lam, want_trees) for lo in starts)
     workers = min(_cpus(), len(starts))
     if workers > 1:
         _tables(d)  # built once here, inherited by every forked worker
         yield from _pooled(jobs, workers)
     else:
         for job in jobs:
-            yield _forest_chunk(*job)
+            yield _chunk(*job)
 
 
-def _forest_chunk(d, seed, lo, hi, budget, lam):
-    """The forest of replicates lo..hi-1 and its censored mask."""
+def _chunk(d, seed, lo, hi, budget, lam, want_trees):
+    """:func:`_batch` over replicates lo..hi-1."""
     keys = stream_keys(seed, np.arange(lo, hi, dtype=np.int64))
-    forest = _batch(d, keys, budget, lam, want_trees=True)[-1]
-    return forest, forest.censored
+    return _batch(d, keys, budget, lam, want_trees)
 
 
 def _cpus() -> int:
-    """CPUs this process may draw forest chunks on.
+    """CPUs this process may draw chunks on.
 
     1 where processes cannot be forked or the affinity mask is unknown, and
     inside a daemonic process (such as a pool worker), which may not start
@@ -432,7 +432,7 @@ def _cpus() -> int:
 
 
 def _pooled(jobs, workers: int):
-    """Run :func:`_forest_chunk` over ``jobs`` in forked workers, in order.
+    """Run :func:`_chunk` over ``jobs`` in forked workers, in order.
 
     While the caller reduces one chunk, every worker draws one of the next
     ``workers``; a chunk is submitted only when the caller asks for the
@@ -453,7 +453,7 @@ def _pooled(jobs, workers: int):
     pending = deque()
     try:
         for job in jobs:
-            pending.append(pool.submit(_forest_chunk, *job))
+            pending.append(pool.submit(_chunk, *job))
             if len(pending) > workers:
                 yield pending.popleft().result()
         while pending:

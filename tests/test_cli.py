@@ -219,6 +219,14 @@ def test_report_line_not_json_exits_2(tmp_path, monkeypatch, capsys):
                                        "property name enclosed in double quotes\n")
 
 
+def test_report_empty_file_exits_2(tmp_path, monkeypatch, capsys):
+    """An empty file printed nothing and exited 0, as if every record passed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.jsonl").write_text("")
+    assert cli_main(["report", "r.jsonl"]) == 2
+    assert capsys.readouterr() == ("", "igwlab report: r.jsonl: the file has no record\n")
+
+
 def test_successful_run_replaces_existing_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trees.newick").write_text("(:1.0);\n")

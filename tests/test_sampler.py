@@ -117,8 +117,26 @@ def _columns(dist, n, chunk, lam):
                                            replicate0=9, chunk=chunk)]
 
 
+STATS = ("censored", "edges", "heights", "lengths", "offspring_hist")
+
+
+def _stats(dist, n, lam):
+    """sample_stats's arrays; heights and lengths are None for a shape-only draw."""
+    st = S.sample_stats(O.from_spec(dist), 3, n, budget=30, lam=lam)
+    return [getattr(st, c) for c in STATS]
+
+
+def _draws(d):
+    """Each batch sampler drawing 400 trees in 8 chunks, once _STATS_CHUNK is 50."""
+    return (lambda: list(S.iter_forest(d, 3, 400, budget=100, chunk=50)),
+            lambda: S.sample_stats(d, 3, 400, budget=100))
+
+
 class TestWorkers:
-    """Chunks drawn by forked workers are the chunks drawn in-process."""
+    """Chunks drawn by forked workers are the chunks drawn in-process.
+
+    The tests run both batch samplers; sample_stats's chunk size is patched
+    small, so that its draws span several chunks too."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     @pytest.mark.parametrize("lam", [1.0, None])
@@ -128,17 +146,25 @@ class TestWorkers:
         pools = []
         pooled = S._pooled
         monkeypatch.setattr(S, "_pooled", lambda jobs, k: pools.append(k) or pooled(jobs, k))
-        got = {}
+        monkeypatch.setattr(S, "_STATS_CHUNK", chunk)
+        got, stats = {}, {}
         for cpus in (1, 2):
             monkeypatch.setattr(S, "_cpus", lambda: cpus)
             with _time_limit(60):
                 got[cpus] = _columns(dist, n, chunk, lam)
-        assert pools == [2]
+                stats[cpus] = _stats(dist, n, lam)
+        assert pools == [2, 2]
         assert len(got[1]) == len(got[2]) == -(-n // chunk)
         assert any(cols[-1].any() for cols in got[1])   # the budget censors
         for one, two in zip(got[1], got[2]):
             for c, a, b in zip(COLUMNS, one, two):
                 assert a.dtype == b.dtype and np.array_equal(a, b), c
+        assert stats[1][0].any() and len(stats[1][0]) == n
+        for c, a, b in zip(STATS, stats[1], stats[2]):
+            if a is None:
+                assert b is None and lam is None, c
+            else:   # bit for bit: the NaNs of censored trees are equal too
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), c
 
     def test_closed_generator_stops_its_workers(self, monkeypatch):
         """tree-io's set-up breaks out of the loop after the first chunk,
@@ -161,10 +187,12 @@ class TestWorkers:
             raise ValueError("engine failed in a worker")
 
         monkeypatch.setattr(S, "_cpus", lambda: 2)
+        monkeypatch.setattr(S, "_STATS_CHUNK", 50)
         monkeypatch.setattr(S, "_batch", fail)
-        with _time_limit(60), pytest.raises(ValueError, match="in a worker"):
-            list(S.iter_forest(O.from_spec("binary"), 3, 400, budget=100, chunk=50))
-        assert multiprocessing.active_children() == []
+        for draw in _draws(O.from_spec("binary")):
+            with _time_limit(60), pytest.raises(ValueError, match="in a worker"):
+                draw()
+            assert multiprocessing.active_children() == []
 
     def test_dead_worker_fails_the_caller(self, monkeypatch):
         """A worker that dies (say, killed for memory) fails the run
@@ -172,10 +200,12 @@ class TestWorkers:
         from concurrent.futures.process import BrokenProcessPool
 
         monkeypatch.setattr(S, "_cpus", lambda: 2)
+        monkeypatch.setattr(S, "_STATS_CHUNK", 50)
         monkeypatch.setattr(S, "_batch", lambda *a, **k: os._exit(1))
-        with _time_limit(60), pytest.raises(BrokenProcessPool):
-            list(S.iter_forest(O.from_spec("binary"), 3, 400, budget=100, chunk=50))
-        assert multiprocessing.active_children() == []
+        for draw in _draws(O.from_spec("binary")):
+            with _time_limit(60), pytest.raises(BrokenProcessPool):
+                draw()
+            assert multiprocessing.active_children() == []
 
     def test_pool_worker_draws_in_process(self, monkeypatch):
         """A daemonic process may not start workers: a caller that runs
@@ -197,6 +227,12 @@ class TestStructure:
             for t in trees:
                 if t is not None:
                     assert t.is_planted and t.is_reduced
+
+    def test_no_replicate_has_censor_rate_0(self):
+        """censor_rate divided by the replicate count, so a draw of no
+        replicate raised ZeroDivisionError."""
+        st = S.sample_stats(O.from_spec("binary"), 1, 0)
+        assert len(st.censored) == 0 and st.censor_rate == 0.0
 
     def test_point_mass_single_edge(self):
         st = S.sample_stats(O.FiniteTable([1.0]), 1, 2000)
@@ -230,15 +266,17 @@ class TestStructure:
                                     dict(d="table:[0.2,0,0.8]")])
     def test_batch_samplers_check_limits(self, kw):
         """Budget 0 censored every replicate; lam 0 or below drew inf or
-        negative edge lengths; chunk -1 gave every tree 0 edges in
-        sample_stats, chunk -1 or n -3 no chunk at all in iter_forest, and
-        chunk 0 failed in range() with a message that named no argument."""
+        negative edge lengths; chunk -1 or n -3 gave no chunk at all in
+        iter_forest, and chunk 0 failed in range() with a message that named
+        no argument.  sample_stats takes no chunk size, so the chunk cases
+        check iter_forest only."""
         match = {"budget": "node budget", "lam": "edge rate", "chunk": "chunk must",
                  "n": "n must", "d": "critical or subcritical"}[next(iter(kw))]
         kw = {"d": "binary", "seed": 1, "n": 3, **kw}
         kw["d"] = O.from_spec(kw["d"])
-        with pytest.raises(ValueError, match=match):
-            S.sample_stats(**kw)
+        if "chunk" not in kw:
+            with pytest.raises(ValueError, match=match):
+                S.sample_stats(**kw)
         with pytest.raises(ValueError, match=match):
             next(S.iter_forest(**kw))
 
