@@ -133,7 +133,7 @@ def _reduce_file(args, reduce):
 
 
 def _prune(spec, args):
-    if spec.threshold is None or spec.threshold <= 0:
+    if spec.threshold is None:
         raise ValueError("a positive threshold --t is required")
     _reduce_file(args, lambda trees, lo: pr.PrunedForest(trees, spec.phi, spec.threshold))
 

@@ -21,9 +21,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -83,6 +81,9 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be >= 1, not {getattr(self, name)!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, not {self.lam!r}")
+        t = self.threshold   # None: derived from survival_target
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ValueError(f"threshold must be finite and > 0, not {t!r}")
         for name in ("alpha", "survival_target"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1), not {getattr(self, name)!r}")
@@ -472,6 +473,8 @@ def run_attractor_mc(spec: ExperimentSpec, iterations: int | None = None) -> dic
     """
     if iterations is not None and spec.phi != "ord":
         raise ValueError(f"rounds of leaf pruning need phi ord, not {spec.phi}")
+    if iterations is not None and iterations < 1:
+        raise ValueError(f"iterations must be >= 1, not {iterations!r}")
     qstar = estimate_L(spec.distribution()).attractor_q
     if iterations is not None:
         t0 = float(iterations)  # k rounds of leaf pruning = ord threshold k
@@ -625,16 +628,3 @@ def majority(fn, spec: ExperimentSpec, seeds=(1, 2, 3, 4, 5)):
         outcomes.append((s, passed(out), out))
     votes = sum(1 for _, p, _ in outcomes if p)
     return votes * 2 > len(outcomes), outcomes
-
-
-def save_reports(reports, path: str):
-    """Write a list of GofReports as one JSON-lines file plus a CSV."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        for r in reports:
-            fh.write(r.to_json() + "\n")
-    with open(os.path.splitext(path)[0] + ".csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["test", "statistic", "threshold", "passed", "n"])
-        for r in reports:
-            w.writerow([r.test, r.statistic, r.threshold, r.passed, r.n])

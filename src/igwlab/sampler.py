@@ -18,21 +18,26 @@ tail once the float sum of pmf terms stops growing.
 Two batch collectors cover the package's needs: summary statistics
 (height/length/edge count plus the pooled histogram of every draw made,
 no tree storage) and forests for the pruning experiments, yielded in
-chunks to bound memory.  A chunk's forest is a columnar
-:class:`~igwlab.trees.Forest` in the order the engine generates vertices
-(by level, then tree, then breadth-first id), which the pruning engine
-consumes as is.  The engine writes these columns itself as it draws
-(``trees._by_level`` lays out every other tree batch);
+chunks to bound memory.  The draw loop is shared and carries one column
+that a child copies from its parent: the parent's position in the chunk
+for a forest, its depth for metric statistics.  Each collector does only
+its own work per level, so a forest chunk carries no summary statistics.  A
+chunk's forest is a columnar :class:`~igwlab.trees.Forest` in the order
+the engine generates vertices (by level, then tree, then breadth-first id),
+which the pruning engine consumes as is.  The engine writes these columns
+itself as it draws (``trees._by_level`` lays out every other tree batch);
 :class:`~igwlab.trees.MetricTree` objects are built only when a caller
 indexes or iterates the forest.
 
 Both collectors draw their chunks through one runner, on every CPU in the
 process's affinity mask: a run of several chunks forks one worker per CPU,
 keeps at most that many chunks in flight and hands them back in replicate
-order, so the caller reduces one chunk while the next ones are drawn.  Each
-chunk is a pure function of its replicate range, so the outputs are
-identical on any number of CPUs; ``taskset -c 0`` runs everything in one
-process.  Up to (CPUs + 1) chunks can be held in memory at once.
+order, so the caller reduces one chunk while the next ones are drawn.  A
+worker sends back only what its caller reads: a forest chunk's
+:class:`~igwlab.trees.Forest`, or a statistics chunk's arrays.  Each chunk
+is a pure function of its replicate range, so the outputs are identical on
+any number of CPUs; ``taskset -c 0`` runs everything in one process.  Up
+to (CPUs + 1) chunks can be held in memory at once.
 """
 
 from __future__ import annotations
@@ -265,97 +270,85 @@ def _batch(d: OffspringDistribution, keys: np.ndarray, budget: int,
            lam: float | None, want_trees: bool):
     """One chunk of replicates, generation-synchronous across trees.
 
-    Returns (censored, counts, hist, heights, lengths, forest), where forest
-    is the chunk's :class:`~igwlab.trees.Forest`, or None when want_trees is
-    False.  Its columns are written level by level as the vertices are
-    drawn, each parent as its position in the whole chunk; the vertices of
-    censored trees are dropped at the end.
+    Returns the chunk's :class:`~igwlab.trees.Forest` when want_trees is
+    True, and (censored, counts, hist, heights, lengths) otherwise.  The
+    frontier carries one column a child copies from its parent: the
+    parent's position in the whole chunk when drawing trees, its depth when
+    drawing metric statistics, nothing for shape-only statistics.  A
+    forest's columns are written level by level as the vertices are drawn;
+    the vertices of censored trees are dropped at the end.
     """
     tab = _tables(d)
     R = len(keys)
     counts = np.ones(R, dtype=np.int64)
     censored = np.zeros(R, dtype=bool)
-    hist = np.zeros(_HIST_SIZE, dtype=np.int64)
-    heights = np.zeros(R) if lam is not None else None
-    lengths = np.zeros(R) if lam is not None else None
 
     # frontier state, kept sorted by slot; every vertex j >= 1 passes through
     f_slot = np.arange(R, dtype=np.int64)
     f_j = np.ones(R, dtype=np.int64)
-    f_ppos = f_slot   # chunk positions of the parents: the roots come first
     if want_trees:    # the columns, one array per level; each root is its own parent
         slot_col, parent_col, length_col = [f_slot], [f_slot], [np.zeros(R)]
         top = R       # the chunk position of the frontier's first vertex
-    f_depth = np.zeros(R) if lam is not None else None
-    elen = None
+        f_up = f_slot   # the roots come first
+    else:
+        hist = np.zeros(_HIST_SIZE, dtype=np.int64)
+        heights = np.zeros(R) if lam is not None else None
+        lengths = np.zeros(R) if lam is not None else None
+        f_up = np.zeros(R) if lam is not None else None
 
     while len(f_slot):
         u_off, u_len = block_uniforms(keys[f_slot], f_j.astype(np.uint64))
         ks = tab.lookup(u_off)
-        hist += np.bincount(np.minimum(ks, _HIST_SIZE - 1), minlength=_HIST_SIZE)
-        if lam is not None:
-            elen = -np.log(u_len) / lam
-            depth = f_depth + elen
-        if want_trees:
-            slot_col.append(f_slot)
-            parent_col.append(f_ppos)
-            length_col.append(elen)
+        elen = -np.log(u_len) / lam if lam is not None else None
         # frontier is sorted by slot: all per-slot reductions via segments,
         # so per-generation work stays proportional to the frontier size
         seg = np.concatenate(([0], np.flatnonzero(np.diff(f_slot)) + 1))
         uslot = f_slot[seg]
-        if lam is not None:
-            lengths[uslot] += np.add.reduceat(elen, seg)
-            leaf_depth = np.where(ks == 0, depth, -np.inf)
-            segmax = np.maximum.reduceat(leaf_depth, seg)
-            heights[uslot] = np.maximum(heights[uslot], segmax)
-        seg_children = np.add.reduceat(ks, seg) if len(ks) else np.zeros(0, dtype=np.int64)
+        if want_trees:
+            slot_col.append(f_slot)
+            parent_col.append(f_up)
+            length_col.append(elen)
+            up = np.arange(top, top + len(f_slot))
+            top += len(f_slot)
+        else:
+            hist += np.bincount(np.minimum(ks, _HIST_SIZE - 1), minlength=_HIST_SIZE)
+            up = None
+            if lam is not None:
+                up = f_up + elen
+                lengths[uslot] += np.add.reduceat(elen, seg)
+                segmax = np.maximum.reduceat(np.where(ks == 0, up, -np.inf), seg)
+                heights[uslot] = np.maximum(heights[uslot], segmax)
+        seg_children = np.add.reduceat(ks, seg)
         total_children = int(ks.sum())
         if total_children == 0:
             break
-        child_slot = np.repeat(f_slot, ks)
-        if want_trees:
-            child_ppos = np.repeat(np.arange(top, top + len(f_slot)), ks)
-            top += len(f_slot)
-        if lam is not None:
-            child_pdepth = np.repeat(depth, ks)
+        f_slot = np.repeat(f_slot, ks)
+        f_up = np.repeat(up, ks) if up is not None else None
         block_start = np.concatenate(([0], np.cumsum(seg_children)[:-1]))
         rank = np.arange(total_children, dtype=np.int64) - np.repeat(block_start, seg_children)
-        child_j = np.repeat(counts[uslot], seg_children) + 1 + rank
+        f_j = np.repeat(counts[uslot], seg_children) + 1 + rank
         counts[uslot] += seg_children
         over_seg = counts[uslot] > budget
         if np.any(over_seg):
             censored[uslot[over_seg]] = True
             keep = ~np.repeat(over_seg, seg_children)
-            child_slot = child_slot[keep]
-            if want_trees:
-                child_ppos = child_ppos[keep]
-            child_j = child_j[keep]
-            if lam is not None:
-                child_pdepth = child_pdepth[keep]
-        f_slot, f_j = child_slot, child_j
-        if want_trees:
-            f_ppos = child_ppos
-        if lam is not None:
-            f_depth = child_pdepth
+            f_slot, f_j = f_slot[keep], f_j[keep]
+            f_up = f_up[keep] if f_up is not None else None
 
     if not want_trees:
-        return censored, counts, hist, heights, lengths, None
+        return censored, counts, hist, heights, lengths
     # one mask pass drops the vertices of censored trees and the levels left empty
     level_starts = np.concatenate(([0], np.cumsum([len(c) for c in slot_col])))
     slot, parent = np.concatenate(slot_col), np.concatenate(parent_col)
-    length = np.concatenate(length_col) if lam is not None else None
+    length = np.concatenate(length_col) if lam is not None else np.zeros(len(parent))
     if censored.any():
         keep = ~censored[slot]
         kept = np.cumsum(keep)   # a kept vertex's new position, plus one
-        parent, slot = kept[parent[keep]] - 1, slot[keep]
-        length = length[keep] if lam is not None else None
+        parent, slot, length = kept[parent[keep]] - 1, slot[keep], length[keep]
         # a level with no kept vertex has none below it either
         level_starts = np.unique(np.concatenate(([0], kept[level_starts[1:] - 1])))
-    forest = Forest(parent, length if lam is not None else np.zeros(len(parent)),
-                    (np.cumsum(~censored) - 1)[slot], level_starts,
-                    np.flatnonzero(~censored), censored, lam is not None)
-    return censored, counts, hist, heights, lengths, forest
+    return Forest(parent, length, (np.cumsum(~censored) - 1)[slot], level_starts,
+                  np.flatnonzero(~censored), censored, lam is not None)
 
 
 # --------------------------------------------------------------------- #
@@ -373,7 +366,7 @@ def sample_stats(d: OffspringDistribution, seed: int, n: int, *,
     lengths = np.zeros(n) if lam is not None else None
     hist = np.zeros(_HIST_SIZE, dtype=np.int64)
     parts = _chunks(d, seed, 0, n, _STATS_CHUNK, budget, lam, want_trees=False)
-    for (cen, counts, h, hts, lens, _), lo in zip(parts, range(0, n, _STATS_CHUNK)):
+    for (cen, counts, h, hts, lens), lo in zip(parts, range(0, n, _STATS_CHUNK)):
         hi = lo + len(cen)
         censored[lo:hi] = cen
         edges[lo:hi] = np.where(cen, -1, counts)
@@ -389,9 +382,10 @@ def iter_forest(d: OffspringDistribution, seed: int, n: int, *,
                 replicate0: int = 0, chunk: int = 4096):
     """Yield (forest, censored_mask) chunk by chunk.  The chunk's
     :class:`~igwlab.trees.Forest` holds its uncensored trees; as a sequence
-    it has one entry per replicate, None where censored."""
+    it has one entry per replicate, None where censored.  The mask is the
+    forest's own ``censored`` column; no summary statistic is computed."""
     _check_limits(budget, lam, d, n, chunk)
-    for *_, forest in _chunks(d, seed, replicate0, n, chunk, budget, lam, want_trees=True):
+    for forest in _chunks(d, seed, replicate0, n, chunk, budget, lam, want_trees=True):
         yield forest, forest.censored
 
 

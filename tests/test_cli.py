@@ -159,7 +159,14 @@ OUT_OF_RANGE = {
     "budget-size": ["verify", "size", "--dist", "igw:0.5", "--n", "100", "--budget", "1"],
     "no-survivor": ["thinning", "--dist", "binary", "--phi", "length", "--t", "1e9",
                     "--n", "200", "--budget", "300", "--seed", "1"],
+    "threshold-nan": ["attractor", "mc", "--phi", "height", "--t", "nan", "--n", "2000"],
+    "threshold-negative": ["invariance", "--phi", "height", "--t", "-1", "--n", "2000"],
+    "iterations": ["attractor", "mc", "--phi", "ord", "--iterations", "0", "--n", "2000"],
 }
+# what the message must say, where it used to name neither the option nor the value
+NAMED = {"threshold-nan": "threshold must be finite and > 0, not nan",
+         "threshold-negative": "threshold must be finite and > 0, not -1.0",
+         "iterations": "iterations must be >= 1, not 0"}
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
@@ -168,7 +175,9 @@ def test_out_of_range_value_exits_2(case, tmp_path, monkeypatch, capsys):
     (tmp_path / "chunk.cfg").write_text("chunk = -1\n")
     argv = OUT_OF_RANGE[case]
     assert cli_main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"igwlab {argv[0]}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"igwlab {argv[0]}")
+    assert NAMED.get(case, "") in err
     assert os.listdir(".") == ["chunk.cfg"]
 
 

@@ -293,13 +293,6 @@ class TestMajorityAndReports:
             assert passed == (out["offspring"].passed and out["rate"].passed)
         assert ok == (sum(p for _, p, _ in outcomes) >= 2)
 
-    def test_save_reports(self, tmp_path):
-        reps = [gof.GofReport("a", 1.0, 2.0, True, 10)]
-        path = tmp_path / "out" / "reports.jsonl"
-        xp.save_reports(reps, str(path))
-        assert json.loads(path.read_text())["test"] == "a"
-        assert (tmp_path / "out" / "reports.csv").exists()
-
 
 class TestCLI:
     def test_config_file(self, tmp_path):
@@ -329,11 +322,12 @@ class TestCLI:
                          "--in", str(forest), "--out", str(colored)]) == 0
 
     def test_prune_requires_positive_threshold(self, tmp_path, capsys):
-        """Without a threshold, pruning used to keep every tree and exit 0."""
+        """Without a threshold, pruning used to keep every tree and exit 0;
+        at --t nan or inf it pruned every tree and exited 0."""
         forest = tmp_path / "trees.newick"
         forest.write_text("((:1,:3):1);\n")
         out = tmp_path / "pruned.newick"
-        for extra in ([], ["--t", "0"], ["--t", "-1"]):
+        for extra in ([], ["--t", "0"], ["--t", "-1"], ["--t", "nan"], ["--t", "inf"]):
             assert cli_main(["prune", "--in", str(forest), "--out", str(out), *extra]) != 0
             assert "threshold" in capsys.readouterr().err
 

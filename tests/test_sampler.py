@@ -50,17 +50,27 @@ class TestDeterminism:
             if a is not None:
                 assert np.array_equal(a.length, b.length)
 
-    def test_stats_match_trees(self):
-        d = O.IGW(0.7)
-        trees, _ = S.sample_forest(d, 5, 50, lam=1.5)
-        st = S.sample_stats(d, 5, 50, lam=1.5)
-        for i, t in enumerate(trees):
-            if t is None:
-                assert st.censored[i]
-                continue
-            assert st.edges[i] == t.n_edges
-            assert st.heights[i] == pytest.approx(t.tree_height(), abs=1e-12)
-            assert st.lengths[i] == pytest.approx(t.tree_length(), abs=1e-9)
+    @pytest.mark.parametrize("lam", [1.5, None], ids=["metric", "shape"])
+    @pytest.mark.parametrize("spec", ["binary", "igw:0.5", "igw:0.8", "zipf:1.5", "geom:0.3",
+                                      "table:[0.55,0,0.35,0.1]"])
+    def test_stats_match_trees(self, spec, lam):
+        """The statistics collector agrees with the trees the forest collector
+        draws, censored trees included; heights and edges add in the same
+        order, so they agree exactly."""
+        d = O.from_spec(spec)
+        trees, ncen = S.sample_forest(d, 5, 300, budget=400, lam=lam)
+        st = S.sample_stats(d, 5, 300, budget=400, lam=lam)
+        assert 0 < ncen == st.n_censored
+        assert st.censored.tolist() == [t is None for t in trees]
+        assert st.edges.tolist() == [-1 if t is None else t.n_edges for t in trees]
+        if lam is None:
+            assert st.heights is None and st.lengths is None
+            return
+        live = [t for t in trees if t is not None]
+        assert st.heights[~st.censored].tolist() == [t.tree_height() for t in live]
+        assert np.allclose(st.lengths[~st.censored], [t.tree_length() for t in live],
+                           rtol=1e-12, atol=0)
+        assert np.isnan(st.heights[st.censored]).all()
 
 
 class TestForest:
