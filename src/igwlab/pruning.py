@@ -38,6 +38,7 @@ stream or seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -310,8 +311,8 @@ class PrunedForest(ForestReduction):
 
     def __init__(self, trees, phi: PhiFunctional | str, threshold: float):
         phi = _as_phi(phi)
-        if threshold <= 0:
-            raise ValueError("the forest path needs a positive threshold")
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"threshold must be finite and > 0, not {threshold!r}")
         thr = float(threshold)
         fa = _as_forest(trees)
         R = fa.R
@@ -423,8 +424,8 @@ class PrunedResult:
 def gdp_prune(t: MetricTree, phi: PhiFunctional | str, threshold: float) -> PrunedResult:
     """Keep the root and all points scoring >= threshold; series-reduce."""
     phi = _as_phi(phi)
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, not {threshold!r}")
     if not isinstance(t, MetricTree):
         raise TypeError("gdp_prune operates on metric trees")
     if t.is_empty or threshold == 0.0:  # phi >= 0 everywhere

@@ -62,6 +62,14 @@ class TestWorkedGeometry:
         with pytest.raises(ValueError):
             P.gdp_prune(cherry, "height", -1.0)
 
+    @pytest.mark.parametrize("thr", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, cherry, thr):
+        """Both entry points let nan and inf through and pruned every tree."""
+        with pytest.raises(ValueError, match=rf"finite and >= 0, not {thr}$"):
+            P.gdp_prune(cherry, "height", thr)
+        with pytest.raises(ValueError, match=rf"finite and > 0, not {thr}$"):
+            P.PrunedForest([cherry], "height", thr)
+
     def test_empty_input(self):
         res = P.gdp_prune(T.MetricTree.empty(), "height", 1.0)
         assert not res.survived

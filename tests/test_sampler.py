@@ -145,8 +145,8 @@ def _draws(d):
 class TestWorkers:
     """Chunks drawn by forked workers are the chunks drawn in-process.
 
-    The tests run both batch samplers; sample_stats's chunk size is patched
-    small, so that its draws span several chunks too."""
+    The tests run both batch samplers; sample_stats's part sizes are patched
+    small, so that its draws span several parts too."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     @pytest.mark.parametrize("lam", [1.0, None])
@@ -157,6 +157,7 @@ class TestWorkers:
         pooled = S._pooled
         monkeypatch.setattr(S, "_pooled", lambda jobs, k: pools.append(k) or pooled(jobs, k))
         monkeypatch.setattr(S, "_STATS_CHUNK", chunk)
+        monkeypatch.setattr(S, "_STATS_PART_MIN", 1)
         got, stats = {}, {}
         for cpus in (1, 2):
             monkeypatch.setattr(S, "_cpus", lambda: cpus)
@@ -198,6 +199,7 @@ class TestWorkers:
 
         monkeypatch.setattr(S, "_cpus", lambda: 2)
         monkeypatch.setattr(S, "_STATS_CHUNK", 50)
+        monkeypatch.setattr(S, "_STATS_PART_MIN", 1)
         monkeypatch.setattr(S, "_batch", fail)
         for draw in _draws(O.from_spec("binary")):
             with _time_limit(60), pytest.raises(ValueError, match="in a worker"):
@@ -211,11 +213,56 @@ class TestWorkers:
 
         monkeypatch.setattr(S, "_cpus", lambda: 2)
         monkeypatch.setattr(S, "_STATS_CHUNK", 50)
+        monkeypatch.setattr(S, "_STATS_PART_MIN", 1)
         monkeypatch.setattr(S, "_batch", lambda *a, **k: os._exit(1))
         for draw in _draws(O.from_spec("binary")):
             with _time_limit(60), pytest.raises(BrokenProcessPool):
                 draw()
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, n, stats_chunk", [
+        (2, 30000, 131072), (2, 30001, 131072), (3, 45002, 131072), (8, 120007, 131072),
+        (2, 300000, 131072), (2, 20003, 7000)])
+    def test_stats_parts_are_equal(self, cpus, n, stats_chunk, monkeypatch):
+        """A draw of at least _STATS_PART_MIN replicates per CPU gets one part
+        per CPU, or more when a part would exceed _STATS_CHUNK.  Every part but
+        the last has the same length, and the last is shorter by less than the
+        number of parts: by at most one on 2 CPUs."""
+        drawn, pools = [], []
+
+        def chunk(d, seed, lo, hi, *args):   # one edge per tree, drawn at once
+            drawn.append((lo, hi))
+            return (np.zeros(hi - lo, bool), np.ones(hi - lo, np.int64),
+                    np.zeros(S._HIST_SIZE, np.int64), np.zeros(hi - lo), np.zeros(hi - lo))
+
+        monkeypatch.setattr(S, "_STATS_PART_MIN", 15000)
+        monkeypatch.setattr(S, "_STATS_CHUNK", stats_chunk)
+        monkeypatch.setattr(S, "_cpus", lambda: cpus)
+        monkeypatch.setattr(S, "_chunk", chunk)
+        monkeypatch.setattr(S, "_pooled", lambda jobs, k: pools.append(k) or (
+            chunk(*job) for job in jobs))
+        st = S.sample_stats(O.from_spec("binary"), 3, n, lam=1.0)
+        assert (st.edges == 1).all() and len(st.edges) == n
+        assert [lo for lo, _ in drawn] == [0] + [hi for _, hi in drawn[:-1]]
+        assert drawn[-1][1] == n
+        parts = [hi - lo for lo, hi in drawn]
+        assert len(parts) == max(min(cpus, n // 15000), -(-n // stats_chunk)) >= 2
+        assert pools == [min(cpus, len(parts))]
+        assert parts[:-1] == [parts[0]] * (len(parts) - 1) and parts[0] <= stats_chunk
+        assert 0 <= parts[0] - parts[-1] < len(parts)
+        assert cpus > 2 or parts[0] - parts[-1] <= 1
+
+    def test_small_stats_draw_starts_no_pool(self, monkeypatch):
+        """A draw too small for two parts of _STATS_PART_MIN replicates stays
+        in one process, in one part, however many CPUs there are."""
+        monkeypatch.setattr(S, "_cpus", lambda: 8)
+        monkeypatch.setattr(S, "_pooled", lambda jobs, k: pytest.fail("started a pool"))
+        calls = []
+        chunks = S._chunks
+        monkeypatch.setattr(S, "_chunks", lambda *a, **k: calls.append(a[4]) or chunks(*a, **k))
+        n = 2 * S._STATS_PART_MIN - 1
+        st = S.sample_stats(O.from_spec("binary"), 3, n, budget=30, lam=1.0)
+        assert calls == [n] and len(st.edges) == n and st.censored.any()
 
     def test_pool_worker_draws_in_process(self, monkeypatch):
         """A daemonic process may not start workers: a caller that runs
