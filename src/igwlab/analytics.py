@@ -26,6 +26,7 @@ identities use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,13 +149,9 @@ def _log(x):
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
-def B_fraction(n: int, q: Fraction) -> Fraction:
-    """Exact B_n for rational q."""
-    nq = Fraction(n) / q
-    out = Fraction(1)
-    for j in range(n - 1):
-        out *= nq - j
-    return out
+def _B_numer(n: int, a: int, b: int) -> int:
+    """a^(n-1) B_n = prod_{j=0}^{n-2} (n b - j a): exact B_n for q = a/b."""
+    return math.prod(range(n * b, n * b - (n - 1) * a, -a))
 
 
 # A series' log-term formula is written once, against one of these two
@@ -424,17 +421,26 @@ def length_cdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> flo
 def size_pmf(q, n: int, *, prec_bits: int = 0):
     """P(#edges = n).  Fraction q -> exact Fraction; float q -> float.
 
+    q lies in [1/2, 1) and n is a Python or numpy integer >= 1; any other n,
+    floats such as 3.0, 2.5 and nan included, raises ValueError.
     ``prec_bits`` applies to float q, as for :func:`length_pdf`.
     """
     _check_q(q)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _size_series(q, n, 0, prec_bits)
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, not {n!r}")
+    return _size_series(q, int(n), 0, prec_bits)
 
 
 def size_cdf(q, x: float, *, prec_bits: int = 0):
-    """P(#edges <= x) for x >= 1, via the binomial-telescoped form."""
+    """P(#edges <= x), via the binomial-telescoped form.
+
+    q lies in [1/2, 1) and x is any finite real (nan and inf raise
+    ValueError); x < 1 gives 0.  Fraction q -> exact Fraction; float q ->
+    float, with ``prec_bits`` as for :func:`length_pdf`.
+    """
     _check_q(q)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, not {x!r}")
     N = int(math.floor(x))
     if N < 1:
         return Fraction(0) if isinstance(q, Fraction) else 0.0
@@ -458,16 +464,15 @@ def _size_series(q, N: int, s: int, prec_bits: int):
     """sum_{k=1}^{N} (-1)^(k-1) C(N-1+s, k-1+s) B_k q^k / k!: the pmf at N
     (s = 0) or the CDF up to N (s = 1)."""
     if isinstance(q, Fraction):
-        total = Fraction(0)
-        for k in range(1, N + 1):
-            term = (
-                Fraction(math.comb(N - 1 + s, k - 1 + s))
-                * B_fraction(k, q)
-                * q ** k
-                / Fraction(math.factorial(k))
-            )
+        # with q = a/b, term_k = C a prod_{j<k-1} (k b - j a) / (b^k k!): sum
+        # the numerators over b^N N!, scale = b^(N-k) N!/k!, in integers
+        a, b = q.numerator, q.denominator
+        total, scale = 0, 1
+        for k in range(N, 0, -1):
+            term = math.comb(N - 1 + s, k - 1 + s) * _B_numer(k, a, b) * scale
             total += term if k % 2 == 1 else -term
-        return total
+            scale *= k * b
+        return Fraction(a * total, b ** N * math.factorial(N))
     bind = _size_log_term(float(q), N, s)
     logmax = float(bind(_Float64)(np.arange(1, N + 1, dtype=np.float64)).max())
     return _alternating_sum(bind, N, logmax, prec_bits)
@@ -534,9 +539,10 @@ def lagrange_w_coeffs(q, N: int):
     if N < 1:
         raise ValueError("N must be >= 1")
     if isinstance(q, Fraction):
+        a, b = q.numerator, q.denominator
         out = []
         for n in range(1, N + 1):
-            w = B_fraction(n, q) / Fraction(math.factorial(n))
+            w = Fraction(_B_numer(n, a, b), a ** (n - 1) * math.factorial(n))
             out.append(w if n % 2 == 1 else -w)
         return out
     ns = np.arange(1, N + 1, dtype=np.float64)
@@ -608,8 +614,9 @@ def pushforward_offspring(d: OffspringDistribution, p: float) -> PushforwardLaw:
     g[0] = d.assumption_ratio(z)  # == q_minus_z(z)/(p * omq)
     lp = math.log(p)
     taylor = 0.0  # sum_{2<=m<=M} p^m Q^(m)(1-p)/m!
+    lqs = d.log_Q_derivs(z, _MMAX)
     for m in range(2, _MMAX + 1):
-        lq = d.log_Q_deriv(z, m)
+        lq = lqs[m]
         if lq == -math.inf:
             continue
         g[m] = math.exp(lq + (m - 1) * lp - math.lgamma(m + 1) - log_denom)
@@ -718,8 +725,9 @@ def coloring_offspring(d: OffspringDistribution, p: float, variant: str = "thinn
     omq = d.one_minus_qprime(1.0 - g_p)
     pmf = np.zeros(_MMAX + 1)
     pmf[0] = (d.Q(1.0 - p) - (1.0 - g_p)) / (g_p * omq)
+    lqs = d.log_Q_derivs(1.0 - p, _MMAX)
     for m in range(2, _MMAX + 1):
-        lq = d.log_Q_deriv(1.0 - p, m)
+        lq = lqs[m]
         if lq == -math.inf:
             continue
         pmf[m] = math.exp(lq + (m - 1) * math.log(g_p) - math.lgamma(m + 1) - math.log(omq))

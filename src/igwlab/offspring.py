@@ -108,8 +108,9 @@ class OffspringDistribution:
     def Q(self, z: float) -> float:
         raise NotImplementedError
 
-    def log_Q_deriv(self, z: float, m: int) -> float:
-        """log Q^(m)(z) for m >= 2, overflow-safe; -inf where it vanishes."""
+    def log_Q_derivs(self, z: float, m_max: int) -> np.ndarray:
+        """out[m] = log Q^(m)(z) for 2 <= m <= m_max, overflow-safe; -inf
+        where it vanishes.  out[0] and out[1] are nan."""
         raise NotImplementedError
 
     def q_minus_z(self, z: float) -> float:
@@ -284,14 +285,18 @@ class IGW(OffspringDistribution):
     def Q(self, z: float) -> float:
         return z + self.q * (1.0 - z) ** self.inv_q
 
-    def log_Q_deriv(self, z: float, m: int) -> float:
-        a = self.inv_q
-        acc = math.log(self.q)
-        for j in range(m):
+    def log_Q_derivs(self, z: float, m_max: int) -> np.ndarray:
+        # log q + sum_{j<m} log|a - j|, one term more for each m
+        a, out = self.inv_q, np.full(m_max + 1, math.nan)
+        acc, l1z = math.log(self.q), math.log1p(-z)
+        for j in range(m_max):
             if a == j:  # q = 1/2: Q is quadratic
-                return -math.inf
+                out[j + 1:] = -math.inf
+                break
             acc += math.log(abs(a - j))
-        return acc + (a - m) * math.log1p(-z)
+            if j >= 1:
+                out[j + 1] = acc + (a - (j + 1)) * l1z
+        return out
 
     def q_minus_z(self, z: float) -> float:
         return self.q * (1.0 - z) ** self.inv_q
@@ -384,23 +389,27 @@ class FiniteTable(OffspringDistribution):
     def Q(self, z: float) -> float:
         return float(np.polyval(self.probs[::-1], z))
 
-    def log_Q_deriv(self, z: float, m: int) -> float:
-        if m > self.kmax:
-            return -math.inf
-        if z == 0.0:
-            return math.log(self.pmf(m)) + math.lgamma(m + 1) if self.pmf(m) > 0 else -math.inf
-        k = np.arange(m, self.kmax + 1, dtype=np.float64)
-        qk = self.probs[m:]
-        good = qk > 0
-        if not np.any(good):
-            return -math.inf
-        lt = (
-            gammaln(k[good] + 1.0)
-            - gammaln(k[good] - m + 1.0)
-            + np.log(qk[good])
-            + (k[good] - m) * math.log(z)
-        )
-        return float(logsumexp(lt))
+    def log_Q_derivs(self, z: float, m_max: int) -> np.ndarray:
+        out = np.full(m_max + 1, -math.inf)
+        out[:2] = math.nan
+        for m in range(2, min(m_max, self.kmax) + 1):
+            if z == 0.0:
+                if self.pmf(m) > 0:
+                    out[m] = math.log(self.pmf(m)) + math.lgamma(m + 1)
+                continue
+            k = np.arange(m, self.kmax + 1, dtype=np.float64)
+            qk = self.probs[m:]
+            good = qk > 0
+            if not np.any(good):
+                continue
+            lt = (
+                gammaln(k[good] + 1.0)
+                - gammaln(k[good] - m + 1.0)
+                + np.log(qk[good])
+                + (k[good] - m) * math.log(z)
+            )
+            out[m] = float(logsumexp(lt))
+        return out
 
     def q_minus_z(self, z: float) -> float:
         # Q(z) - z = (1-z)[(1 - mean) + (1-z) g(z)] for any law with q1 = 0
@@ -501,24 +510,28 @@ class ZipfCritical(OffspringDistribution):
             val = self._q0_mp + self._c_mp * (mp.polylog(self.alpha + 1, z) - z)
         return float(val)
 
-    def log_Q_deriv(self, z: float, m: int) -> float:
-        # positive-term direct sum in log space: summand peaks near
-        # k* = (m - alpha - 1)/(-log z); cover the peak plus decay room
+    def log_Q_derivs(self, z: float, m_max: int) -> np.ndarray:
+        out = np.full(m_max + 1, math.nan)
         if z <= 0.0:
-            return math.log(self.pmf(m)) + math.lgamma(m + 1) if self.pmf(m) else -math.inf
+            for m in range(2, m_max + 1):
+                out[m] = math.log(self.pmf(m)) + math.lgamma(m + 1) if self.pmf(m) else -math.inf
+            return out
         if z >= 1.0:
             raise ValueError("Q derivatives of the Zipf law diverge at z = 1")
+        # positive-term direct sum in log space: summand peaks near
+        # k* = (m - alpha - 1)/(-log z); cover the peak plus decay room
         delta = -math.log(z)
-        kcap = int((m + 60.0) / delta) + 20 * m + 2000
-        k = np.arange(max(m, 2), kcap, dtype=np.float64)
-        lt = (
-            gammaln(k + 1.0)
-            - gammaln(k - m + 1.0)
-            - (self.alpha + 1.0) * np.log(k)
-            + (k - m) * math.log(z)
-        )
-        peak = float(lt.max())
-        return math.log(self.c) + peak + math.log(np.exp(lt - peak).sum())
+        kcaps = [int((m + 60.0) / delta) + 20 * m + 2000 for m in range(m_max + 1)]
+        # one table for every m, G[i] = lgamma(i + 1); kcap grows with m
+        G = gammaln(np.arange(kcaps[-1]) + 1.0)
+        for m in range(2, m_max + 1):
+            kcap = kcaps[m]
+            k = np.arange(m, kcap, dtype=np.float64)
+            lt = (G[m:kcap] - G[:kcap - m] - (self.alpha + 1.0) * np.log(k)
+                  + (k - m) * math.log(z))
+            peak = float(lt.max())
+            out[m] = math.log(self.c) + peak + math.log(np.exp(lt - peak).sum())
+        return out
 
     def q_minus_z(self, z: float) -> float:
         if z == 1.0:
@@ -613,13 +626,12 @@ class GeometricCritical(OffspringDistribution):
         rz = self.r * z
         return self.q0 + self.c * rz * rz / (1.0 - rz)
 
-    def log_Q_deriv(self, z: float, m: int) -> float:
-        return (
-            math.log(self.c)
-            + math.lgamma(m + 1)
-            + m * math.log(self.r)
-            - (m + 1) * math.log1p(-self.r * z)
-        )
+    def log_Q_derivs(self, z: float, m_max: int) -> np.ndarray:
+        out = np.full(m_max + 1, math.nan)
+        for m in range(2, m_max + 1):
+            out[m] = (math.log(self.c) + math.lgamma(m + 1) + m * math.log(self.r)
+                      - (m + 1) * math.log1p(-self.r * z))
+        return out
 
     def g_value(self, x: float) -> float:
         return self.c * self.r * self.r / ((1.0 - self.r) ** 2 * (1.0 - self.r * x))

@@ -172,6 +172,23 @@ class TestSize:
         vals = [A.size_tail(q, 100.0) * 100.0 ** q for q in (0.5, 0.7, 0.9, 0.99)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("q", [0.5, Fraction(1, 2)])
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, math.inf, 0, -1])
+    def test_pmf_needs_an_integer_n(self, q, n):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, not {n!r}"):
+            A.size_pmf(q, n)
+
+    def test_numpy_integers_accepted(self):
+        assert A.size_pmf(Fraction(1, 2), np.int64(3)) == Fraction(1, 8)
+        assert A.size_pmf(0.5, np.int32(3)) == A.size_pmf(0.5, 3)
+        assert A.size_cdf(Fraction(1, 2), np.int64(3)) == A.size_cdf(Fraction(1, 2), 3)
+
+    @pytest.mark.parametrize("q", [0.5, Fraction(1, 2)])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_cdf_needs_a_finite_x(self, q, x):
+        with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
+            A.size_cdf(q, x)
+
     def test_exact_tail_vs_asymptotic(self):
         tail = 1 - A.size_cdf(Fraction(1, 2), 1000)
         assert float(tail) / A.size_tail(0.5, 1000.0) == pytest.approx(1.0, abs=0.1)
