@@ -31,7 +31,7 @@ from . import analytics as ana
 from . import experiments as xp
 from . import pruning as pr
 from . import sampler as smp
-from .newick import from_newick, to_newick
+from .newick import NewickError, from_newick, to_newick
 from .offspring import from_spec
 
 # spec field -> its type, float | None read as float
@@ -71,13 +71,22 @@ def _tmp(path):
     return f"{path}.{os.getpid()}.tmp"
 
 
+def _read_tree(path, lineno, line):
+    try:
+        return from_newick(line)
+    except (NewickError, RecursionError) as e:
+        why = "nested too deeply to read" if isinstance(e, RecursionError) else e
+        raise ValueError(f"{path}, line {lineno}: {why}") from None
+
+
 def _read_chunks(path):
     """(index of the first tree, trees) for each run of ``_CHUNK`` trees of
-    a Newick file, one tree per line."""
+    a Newick file, one tree per line; a line that cannot be read is a
+    ValueError naming the file and the line."""
     with open(path) as fh:
-        lines = (line for line in fh if line.strip())
+        lines = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
         lo = 0
-        while trees := [from_newick(line) for line in islice(lines, _CHUNK)]:
+        while trees := [_read_tree(path, n, line) for n, line in islice(lines, _CHUNK)]:
             yield lo, trees
             lo += len(trees)
 

@@ -22,8 +22,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -107,13 +109,6 @@ class CensorRateError(ValueError):
         self.rate, self.bound = rate, bound
 
 
-def _censor_range(censor_rate: float, quantile):
-    """Upper comparison limit: CDF already exceeds 1 - 10*censor_rate there."""
-    if censor_rate == 0.0:
-        return None
-    return float(quantile(1.0 - 10.0 * censor_rate))
-
-
 # --------------------------------------------------------------------- #
 # Sampling-law verification                                               #
 # --------------------------------------------------------------------- #
@@ -127,13 +122,13 @@ def run_verify_height(spec: ExperimentSpec) -> gof.GofReport:
     if st.censor_rate > spec.max_censor_rate:
         raise CensorRateError(st.censor_rate, spec.max_censor_rate)
     hs = np.sort(st.heights[~st.censored])
-    hi = _censor_range(
-        st.censor_rate,
-        lambda u: ((1.0 - u) ** (-(1.0 - q) / q) - 1.0) / (spec.lam * (1.0 - q)),
-    )
+    within = None
+    if st.censor_rate:  # up to where the CDF exceeds 1 - 10 * censor_rate
+        u = 1.0 - 10.0 * st.censor_rate
+        within = (0.0, ((1.0 - u) ** (-(1.0 - q) / q) - 1.0) / (spec.lam * (1.0 - q)))
     return gof.ks_report(
-        f"height-law[{spec.dist},lam={spec.lam:g}]", hs,
-        lambda x: ana.height_cdf(q, spec.lam, x), (0.0, hi) if hi is not None else None,
+        f"height-law[{spec.dist},lam={spec.lam:g}]", hs, partial(ana.height_cdf, q, spec.lam),
+        within,
         alpha=spec.alpha, seed=spec.seed, censor_rate=st.censor_rate)
 
 
@@ -156,7 +151,7 @@ def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
         hi = min(hi, (1.0 / (tail * (spec.lam * q) ** q * math.gamma(1 - q))) ** (1.0 / q))
     return gof.ks_report(
         f"length-law[{spec.dist},lam={spec.lam:g}]", ls,
-        lambda x: ana.length_cdf_grid(q, spec.lam, x), (0.0, hi),
+        partial(ana.length_cdf_grid, q, spec.lam), (0.0, hi),
         alpha=spec.alpha, seed=spec.seed, censor_rate=st.censor_rate,
         range_coverage=float(np.searchsorted(ls, hi) / len(ls)))
 
@@ -239,11 +234,9 @@ def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
-    stats = []
-    for forest, cen in smp.iter_forest(d, spec.seed + 1, pilot_n, budget=spec.budget,
-                                       lam=_phi_lam(spec), chunk=spec.chunk):
-        stats.append(pr.survival_statistics(forest, spec.phi)[~cen])
-    stats = np.sort(np.concatenate(stats))
+    pilot = _tally(replace(spec, seed=spec.seed + 1, n=pilot_n), partial(_survival, spec.phi),
+                   _phi_lam(spec))
+    stats = np.sort(np.concatenate(pilot.stats))
     t = float(stats[int((1.0 - tgt) * len(stats))])
     if spec.phi in ("leaves", "ord"):
         t = max(1.0, round(t))
@@ -251,7 +244,7 @@ def threshold_for_survival(spec: ExperimentSpec, pilot_n: int = 20000) -> float:
 
 
 # --------------------------------------------------------------------- #
-# One chunk loop for the pruning and coloring verdicts                    #
+# One chunk loop for every sampled-forest verdict                         #
 # --------------------------------------------------------------------- #
 
 
@@ -260,60 +253,79 @@ _SMALL = 5  # reduced trees of at most this many edges are tallied by shape
 
 @dataclass
 class Tally:
-    """Accumulated over the reduced trees of a sampled forest."""
+    """Accumulated over a sampled forest, or over one chunk of it."""
 
     n_trees: int = 0
     n_censored: int = 0
     n_survived: int = 0
-    branching: np.ndarray = field(default_factory=lambda: np.zeros(256, dtype=np.int64))
+    branching: np.ndarray = field(default_factory=partial(np.zeros, 256, dtype=np.int64))
     # survivors of at most _SMALL reduced edges, by (edges, first-branch degree)
     small: np.ndarray = field(
-        default_factory=lambda: np.zeros((_SMALL + 1, _SMALL + 1), dtype=np.int64))
-    edge_lengths: list = field(default_factory=list)
-    thinning: dict = field(default_factory=dict)   # (k, m) -> count, m >= 1 exact cells
+        default_factory=partial(np.zeros, (_SMALL + 1, _SMALL + 1), dtype=np.int64))
+    edge_lengths: list = field(default_factory=list)    # pooled, one array per chunk
+    thinning: Counter = field(default_factory=Counter)  # (k, m) -> count, m >= 1 exact cells
+    stats: list = field(default_factory=list)           # live trees' survival statistics
+    violations: Counter = field(default_factory=Counter)  # phi -> S_t2 o S_s != S_(s+t2)
+    found: int | None = None  # live rank of the first such tree under length pruning
 
     @property
     def p_hat(self) -> float:
         return self.n_survived / max(self.n_trees - self.n_censored, 1)
 
+    def merge(self, o: Tally) -> Tally:
+        """This tally followed by the one of the next replicates."""
+        found = self.found if self.found is not None or o.found is None else (
+            self.n_trees - self.n_censored + o.found)
+        return Tally(self.n_trees + o.n_trees, self.n_censored + o.n_censored,
+                     self.n_survived + o.n_survived, self.branching + o.branching,
+                     self.small + o.small, self.edge_lengths + o.edge_lengths,
+                     self.thinning + o.thinning, self.stats + o.stats,
+                     self.violations + o.violations, found)
 
-def _tally(spec: ExperimentSpec, reduce, lam: float | None,
-           pool_lengths: bool = False) -> Tally:
-    """One pass over the spec's forest, reducing chunk by chunk.
 
-    ``reduce(forest, base)`` reduces a chunk whose first replicate is
-    ``base``; the tally reads only the reduction's columns.  Lengths are
-    sampled at ``lam`` (None: shapes only) and pooled on request.
-    """
+def _tally(spec: ExperimentSpec, reducer, lam: float | None) -> Tally:
+    """One pass over the spec's forest, sampled at ``lam`` (None: shapes
+    only).  A reducer, a module-level function bound by ``partial``, maps
+    each chunk and its first replicate, ``(forest, base)``, to the chunk's
+    Tally; each chunk is reduced before the next one is drawn."""
     s = Tally()
-    base = 0
-    for forest, cen in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
-                                       budget=spec.budget, lam=lam, chunk=spec.chunk):
-        s.n_trees += len(forest)
-        s.n_censored += int(cen.sum())
-        if forest.R:
-            red = reduce(forest, base)
-            surv = red.survived
-            s.n_survived += int(surv.sum())
-            fb = red.first_branch[surv]
-            s.branching += np.bincount(np.minimum(fb, 255), minlength=256)
-            edges = red.red_edges[surv]
-            small = edges <= _SMALL
-            s.small += np.bincount((_SMALL + 1) * edges[small] + fb[small],
-                                   minlength=s.small.size).reshape(s.small.shape)
-            if isinstance(red, pr.PrunedForest):
-                km, cnt = np.unique(np.stack((red.k1[surv], red.m1[surv]), axis=1),
-                                    axis=0, return_counts=True)
-                for (k, m), c in zip(km.tolist(), cnt.tolist()):
-                    s.thinning[(k, m)] = s.thinning.get((k, m), 0) + c
-            if pool_lengths:
-                s.edge_lengths.append(red.pooled_lengths())
-        base += len(forest)
+    for forest, _ in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
+                                     budget=spec.budget, lam=lam, chunk=spec.chunk):
+        s = s.merge(reducer(forest, s.n_trees))
     return s
 
 
-def _pruner(spec: ExperimentSpec, threshold: float):
-    return lambda forest, base: pr.PrunedForest(forest, spec.phi, threshold)
+def _survivors(forest, red: pr.ForestReduction, pool_lengths: bool = False) -> Tally:
+    """A chunk's counts, and the shapes of the trees that survive ``red``."""
+    surv = red.survived
+    fb, edges = red.first_branch[surv], red.red_edges[surv]
+    small = edges <= _SMALL
+    return Tally(len(forest), int(forest.censored.sum()), int(surv.sum()),
+                 np.bincount(np.minimum(fb, 255), minlength=256),
+                 np.bincount((_SMALL + 1) * edges[small] + fb[small],
+                             minlength=(_SMALL + 1) ** 2).reshape(_SMALL + 1, _SMALL + 1),
+                 [red.pooled_lengths()] if pool_lengths else [])
+
+
+def _prune(phi: str, threshold: float, forest, base: int, pool_lengths: bool = False) -> Tally:
+    """Pruning at the threshold, with the survivors' first-branch thinning cells."""
+    red = pr.PrunedForest(forest, phi, threshold)
+    surv = red.survived
+    return replace(_survivors(forest, red, pool_lengths),
+                   thinning=Counter(zip(red.k1[surv].tolist(), red.m1[surv].tolist())))
+
+
+def _color(p: float, seed: int, forest, base: int) -> Tally:
+    """Bernoulli leaf coloring, one stream per tree."""
+    # live tree r of the chunk draws from stream base + r, not its replicate's: a
+    # verdict moves with the chunk when trees are censored (ROADMAP.md item 4a)
+    return _survivors(forest, pr.color_forest(forest.live(), p, seed, replicate0=base))
+
+
+def _survival(phi: str, forest, base: int) -> Tally:
+    """The survival statistic of every live tree, for a pilot sample."""
+    return Tally(len(forest), int(forest.censored.sum()),
+                 stats=[pr.survival_statistics(forest, phi)[~forest.censored]])
 
 
 # --------------------------------------------------------------------- #
@@ -329,11 +341,11 @@ def run_invariance(spec: ExperimentSpec) -> dict:
     d = _require_igw(spec)
     q = d.q
     t = _threshold(spec)
-    s = _tally(spec, _pruner(spec, t), spec.lam, pool_lengths=True)
+    s = _tally(spec, partial(_prune, spec.phi, t, pool_lengths=True), spec.lam)
     shape_rep = gof.chi_square_report(
         f"prune-invariance-offspring[{spec.dist},phi={spec.phi},t={t:.4g}]", s.branching,
         d.pmf_array(255), alpha=spec.alpha, seed=spec.seed, p_hat=s.p_hat)
-    lens = np.concatenate(s.edge_lengths) if s.edge_lengths else np.zeros(0)
+    lens = np.concatenate(s.edge_lengths)
     rate, ci = gof.fit_exponential_rate(lens)
     pred = spec.lam * s.p_hat ** ((1.0 - q) / q)
     ratio = rate / pred
@@ -366,7 +378,7 @@ def run_uniqueness_falsification(spec: ExperimentSpec) -> gof.GofReport:
     if not d.is_critical:
         raise ValueError("falsification is about critical laws")
     t = _threshold(spec)
-    s = _tally(spec, _pruner(spec, t), _phi_lam(spec))
+    s = _tally(spec, partial(_prune, spec.phi, t), _phi_lam(spec))
     return gof.chi_square_report(
         f"uniqueness-falsification[{spec.dist},phi={spec.phi},t={t:.4g}]", s.branching,
         d.pmf_array(255), alpha=spec.alpha, seed=spec.seed, reject=True, p_hat=s.p_hat)
@@ -383,18 +395,15 @@ def run_thinning(spec: ExperimentSpec) -> gof.GofReport:
     """
     d = spec.distribution()
     t = _threshold(spec)
-    s = _tally(spec, _pruner(spec, t), _phi_lam(spec))
+    s = _tally(spec, partial(_prune, spec.phi, t), _phi_lam(spec))
     if not s.n_survived:
         raise ValueError(f"no tree survived the pruning at t={t:.4g}")
     p = s.p_hat
     kmax = max((k for k, m in s.thinning), default=2)
     cells = [(k, m) for k in range(2, kmax + 1) for m in range(1, k + 1)
              if d.pmf(k) > 0]
-    probs = []
-    obs = []
-    for (k, m) in cells:
-        probs.append(math.comb(k, m) * (1 - p) ** (k - m) * p ** m * d.pmf(k) / p)
-        obs.append(s.thinning.get((k, m), 0))
+    probs = [math.comb(k, m) * (1 - p) ** (k - m) * p ** m * d.pmf(k) / p for k, m in cells]
+    obs = [s.thinning[k, m] for k, m in cells]
     lump_p = max(0.0, 1.0 - sum(probs))
     lump_o = s.n_survived - sum(obs)
     expected = np.asarray(probs + [lump_p])
@@ -482,7 +491,7 @@ def run_attractor_mc(spec: ExperimentSpec, iterations: int | None = None) -> dic
     else:
         t0 = _threshold(spec)
         tlabel = f"t={t0:.4g}"
-    s = _tally(spec, _pruner(spec, t0), _phi_lam(spec))
+    s = _tally(spec, partial(_prune, spec.phi, t0), _phi_lam(spec))
     n_surv = s.n_survived
     if n_surv < 1000:
         return {"passed": False, "starved": True, "survivors": n_surv,
@@ -522,10 +531,7 @@ def run_coloring(spec: ExperimentSpec) -> dict:
     g_pred = ana.coloring_survival(d, spec.p)
     _, pmf_thin, _ = ana.coloring_offspring(d, spec.p, "thinned")
     _, pmf_printed, _ = ana.coloring_offspring(d, spec.p, "as-printed")
-    color_seed = spec.seed ^ 0xC01031
-    # live tree r of the chunk draws from stream base + r; coloring reads no length
-    s = _tally(spec, lambda forest, base: pr.color_forest(
-        forest.live(), spec.p, color_seed, replicate0=base), None)
+    s = _tally(spec, partial(_color, spec.p, spec.seed ^ 0xC01031), None)  # reads no length
     branch, n_surv, ntot = s.branching, s.n_survived, s.n_trees - s.n_censored
     g_hat = s.p_hat
     surv_rep = gof.GofReport(
@@ -560,7 +566,8 @@ def run_coloring(spec: ExperimentSpec) -> dict:
 # --------------------------------------------------------------------- #
 
 
-_SEMIGROUP_STEPS = (0.3, 0.3)  # S_t2 o S_s against S_(s+t2), height and length
+# (s, t2) per functional: S_t2 o S_s against S_(s+t2)
+_SEMIGROUP_STEPS = {"height": (0.3, 0.3), "ord": (1.0, 1.0), "length": (0.3, 0.3)}
 _SEMIGROUP_ATOL = 1e-9
 
 
@@ -571,6 +578,17 @@ def _composes(forest, phi: str, s: float, t2: float, atol: float):
     return (almost_isometric(a, b, atol) for a, b in zip(two, one))
 
 
+def _compose(forest, base: int) -> Tally:
+    """The chunk's live trees off the semigroup: counted under height and
+    ord pruning, the rank of the first one under length pruning."""
+    live = forest.live()
+    off = {phi: (not eq for eq in _composes(live, phi, s, t2, _SEMIGROUP_ATOL))
+           for phi, (s, t2) in _SEMIGROUP_STEPS.items()}
+    return Tally(len(forest), int(forest.censored.sum()),
+                 violations=Counter({phi: sum(off[phi]) for phi in ("height", "ord")}),
+                 found=next((i for i, bad in enumerate(off["length"]) if bad), None))
+
+
 def run_semigroup(spec: ExperimentSpec) -> dict:
     """Composition law of the pruning operator per functional, on spec.n
     sampled trees, one chunk in memory at a time.
@@ -579,30 +597,17 @@ def run_semigroup(spec: ExperimentSpec) -> dict:
     integer thresholds: discrete semigroup; length: fails, and both a fixed
     counterexample and a random search report one (its rank among live trees).
     """
-    (s, t2), atol = _SEMIGROUP_STEPS, _SEMIGROUP_ATOL
-    steps = {"height": (s, t2), "ord": (1.0, 1.0)}
-    bad = dict.fromkeys(steps, 0)
-    checked = 0
-    found = None
-    for forest, _ in smp.iter_forest(spec.distribution(), spec.seed, spec.n,
-                                     budget=spec.budget, lam=spec.lam, chunk=spec.chunk):
-        live = forest.live()
-        for phi, (a, b) in steps.items():
-            bad[phi] += sum(not eq for eq in _composes(live, phi, a, b, atol))
-        if found is None:
-            found = next((checked + i for i, eq in enumerate(
-                _composes(live, "length", s, t2, atol)) if not eq), None)
-        checked += live.R
-    results = {phi: {"checked": checked, "violations": v, "passed": v == 0}
-               for phi, v in bad.items()}
+    s = _tally(spec, _compose, spec.lam)
+    results = {phi: {"checked": s.n_trees - s.n_censored, "violations": s.violations[phi],
+                     "passed": s.violations[phi] == 0} for phi in ("height", "ord")}
     fixed = from_newick(LENGTH_SEMIGROUP_COUNTEREXAMPLE)
-    eq_fixed, two, one = pr.semigroup_check(fixed, "length", 1.0, 1.0, atol)
+    eq_fixed, two, one = pr.semigroup_check(fixed, "length", 1.0, 1.0, _SEMIGROUP_ATOL)
     results["length"] = {
         "fixed_counterexample": LENGTH_SEMIGROUP_COUNTEREXAMPLE,
         "fixed_violates": not eq_fixed,
         "two_step": to_newick(two),
         "one_step": to_newick(one),
-        "random_counterexample_index": found,
+        "random_counterexample_index": s.found,
         "passed": (not eq_fixed),
     }
     results["passed"] = all(v["passed"] for v in results.values() if isinstance(v, dict))

@@ -236,6 +236,26 @@ def test_report_empty_file_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "igwlab report: r.jsonl: the file has no record\n")
 
 
+# lines the Newick reader cannot take: a path 3,000 levels deep, as deep as
+# trees `sample` writes, and a malformed tree
+UNREADABLE = {"deep": "(" * 3000 + ":1" + "):1" * 2999 + ");", "malformed": "((:1,:2;"}
+REDUCERS = {"prune": ["prune", "--phi", "length", "--t", "1"], "color": ["color", "--p", "0.5"]}
+
+
+@pytest.mark.parametrize("verb", sorted(REDUCERS))
+@pytest.mark.parametrize("line", sorted(UNREADABLE))
+def test_unreadable_line_exits_2_naming_file_and_line(verb, line, tmp_path, monkeypatch, capsys):
+    """The deep line ended in a RecursionError traceback and exit 1, the code
+    of a failed verdict; the malformed one named neither file nor line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.newick").write_text(f"((:1,:3):1);\n\n{UNREADABLE[line]}\n(:2);\n")
+    (tmp_path / "out.newick").write_text("(:1.0);\n")
+    assert cli_main(REDUCERS[verb] + ["--in", "in.newick", "--out", "out.newick"]) == 2
+    assert capsys.readouterr().err.startswith(f"igwlab {verb}: in.newick, line 3: ")
+    assert sorted(os.listdir(".")) == ["in.newick", "out.newick"]
+    assert (tmp_path / "out.newick").read_text() == "(:1.0);\n"
+
+
 def test_successful_run_replaces_existing_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "trees.newick").write_text("(:1.0);\n")

@@ -5,12 +5,15 @@ here the point is that each experiment wires its pieces correctly, produces
 reproducible reports, and fails when it should.
 """
 
+import dataclasses
 import gzip
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +195,13 @@ class TestColoringExperiment:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("run,kw", [(xp.run_thinning, dict(dist="binary", phi="length")),
-                                        (xp.run_coloring, dict(dist="binary", p=0.5))],
-                             ids=["thinning", "coloring"])
+    @pytest.mark.parametrize("run,kw", [
+        (xp.run_thinning, dict(dist="binary", phi="length")),
+        (xp.run_coloring, dict(dist="binary", p=0.5)),
+        (xp.run_semigroup, dict(dist="binary")),
+        # the threshold comes from a 20,000-tree pilot sample
+        (xp.run_attractor_mc, dict(dist="binary", phi="ord", threshold=None))],
+        ids=["thinning", "coloring", "semigroup", "attractor-pilot"])
     def test_one_and_two_cpus_give_equal_reports(self, run, kw, monkeypatch):
         """Six chunks at a budget that censors, drawn in-process and by two
         forked workers."""
@@ -204,6 +211,65 @@ class TestWorkers:
             monkeypatch.setattr(smp, "_cpus", lambda: cpus)
             reports.append(run(spec))
         assert reports[0] == reports[1]
+
+
+def _assert_same_tally(a: xp.Tally, b: xp.Tally):
+    """Field by field, pooled arrays joined and compared bit for bit."""
+    for f in dataclasses.fields(xp.Tally):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, list):
+            x, y = (np.concatenate(v) if v else np.zeros(0) for v in (x, y))
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestReducers:
+    """Every forest verdict is one pass of ``_tally`` with a module-level
+    reducer that maps a chunk and its first replicate to the chunk's Tally."""
+
+    # reducer -> the edge rate its forest is sampled at (None: shapes only)
+    REDUCERS = {
+        "prune-length": (partial(xp._prune, "length", 1.0, pool_lengths=True), 1.0),
+        "prune-ord": (partial(xp._prune, "ord", 1.0), None),
+        "color": (partial(xp._color, 0.5, 7), None),
+        "compose": (xp._compose, 1.0),
+        "survival": (partial(xp._survival, "leaves"), None),
+    }
+    # binary, seed 20: 25 of 300 trees censored at budget 100, 2 of them among
+    # the first M; the first tree off the length semigroup has live rank 20
+    # (replicate 22), after the first M replicates
+    SPEC = xp.ExperimentSpec(dist="binary", seed=20, n=300, budget=100, chunk=7)
+    M = 14
+
+    @pytest.mark.parametrize("name", sorted(REDUCERS))
+    def test_pickle_round_trip(self, name):
+        reducer, lam = self.REDUCERS[name]
+        forest, _ = next(smp.iter_forest(self.SPEC.distribution(), 6, 64, budget=300, lam=lam))
+        _assert_same_tally(pickle.loads(pickle.dumps(reducer))(forest, 5), reducer(forest, 5))
+
+    @pytest.mark.parametrize("name", sorted(REDUCERS))
+    def test_merged_halves_equal_one_tally(self, name):
+        """Replicates [0, M) merged with [M, n) give the tally of [0, n).  M
+        is a chunk boundary, where coloring's streams (keyed by live rank
+        within the chunk) agree too."""
+        reducer, lam = self.REDUCERS[name]
+        spec, m = self.SPEC, self.M
+        whole = xp._tally(spec, reducer, lam)
+        first = xp._tally(replace(spec, n=m), reducer, lam)
+        second = xp.Tally()
+        for forest, _ in smp.iter_forest(spec.distribution(), spec.seed, spec.n - m,
+                                         budget=spec.budget, lam=lam, replicate0=m,
+                                         chunk=spec.chunk):
+            second = second.merge(reducer(forest, m + second.n_trees))
+        _assert_same_tally(first.merge(second), whole)
+        assert (whole.n_trees, whole.n_censored, first.n_censored) == (300, 25, 2)
+        for pooled in ("edge_lengths", "stats"):  # in replicate order: the first chunk first
+            if getattr(first, pooled):
+                assert np.array_equal(getattr(whole, pooled)[0], getattr(first, pooled)[0])
+        if name == "compose":
+            assert (first.found, second.found, whole.found) == (None, 20 - (m - 2), 20)
 
 
 class TestSemigroupExperiment:
