@@ -16,7 +16,8 @@ The alternating series cancel catastrophically as their argument grows (the
 terms peak near exp(c * lam*q*x) while the sums stay O(1)), so one evaluator
 sums them all: a cheap a-priori log-term scan bounds the largest term, small
 cases take a vectorized float64 path, and everything else is summed by
-mpmath at log2(max term) + 64 bits, or at an explicit ``prec_bits``, with a
+mpmath, at an explicit ``prec_bits`` or else at a precision sized from the
+scan so that the returned float is the correctly rounded value, with a
 cancellation guard that refuses to return digits that were never there.  For
 rational q the edge-count law is also computed in exact big-rational
 arithmetic (B_k is a finite rational product), which is what the acceptance
@@ -73,6 +74,10 @@ _MAX_TERMS = 200_000
 # an extended-precision sum must keep this many bits:
 # max|term| / |sum| <= 2**(prec - _GUARD_BITS)
 _GUARD_BITS = 20
+# an auto-precision sum keeps 53 + 10 bits of its value, and first assumes
+# that value is at least 2**-_SUM_FLOOR_BITS
+_ROUND_BITS = 63
+_SUM_FLOOR_BITS = 16
 # the float64 path takes a series whose largest term is at most 2**30
 _FLOAT64_MAX_LOG_TERM = math.log(2.0 ** 30)
 
@@ -93,8 +98,13 @@ def _check_q(q):
 
 def _check_q_lam(q: float, lam: float):
     _check_q(q)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, not {lam!r}")
+
+
+def _check_finite(x):
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, not {x!r}")
 
 
 def height_cdf(q: float, lam: float, x) -> float | np.ndarray:
@@ -170,15 +180,26 @@ class _Float64:
 
 
 class _Mpmath:
+    """One sum's arithmetic: log Gamma at an integer m is log (m-1)!, read
+    from a table of log k! that grows by cumulative mp.log(k) sums."""
     num = mp.mpf
-    log = mp.log
-    lgamma = mp.loggamma
+    log = staticmethod(mp.log)
 
-    @staticmethod
-    def plus_log_B(x, n, q):
+    def __init__(self):
+        self.log_fact = [mp.mpf(0)]
+
+    def lgamma(self, m):
+        if not mp.isint(m):
+            return mp.loggamma(m)
+        m, t = int(m), self.log_fact
+        while len(t) < m:
+            t.append(t[-1] + mp.log(len(t)))
+        return t[m - 1]
+
+    def plus_log_B(self, x, n, q):
         # the loggammas join x one at a time here and as one rounded block in
-        # float64: the roundings each path has always made, kept bit for bit
-        return x + mp.loggamma(n / q + 1) - mp.loggamma(n / q - n + 2)
+        # float64: the roundings each path has always made
+        return x + self.lgamma(n / q + 1) - self.lgamma(n / q - n + 2)
 
 
 def _bits(prec_bits: int, auto: int) -> int:
@@ -196,27 +217,42 @@ def _alternating_sum(bind, n_stop: int, logmax: float, prec_bits: int) -> float:
     """sum_{n=1}^{n_stop} (-1)^(n-1) exp(log_term(n)), log_term = bind(arithmetic).
 
     ``logmax`` bounds the largest log term.  With no explicit precision and
-    terms of at most 2**30 the sum is one float64 pass; otherwise mpmath sums
-    it at ``prec_bits`` or log2(max term) + 64 bits, under the guard.
+    terms of at most 2**30 the sum is one float64 pass.  Otherwise mpmath
+    sums it, at ``prec_bits`` as given or at the precision that returns the
+    correctly rounded float: a log term is off by about n_stop ulps of its
+    largest log-Gamma piece P ~ lgamma(2 n_stop + 2), exp turns that into a
+    relative error of each term, and the sum must keep _ROUND_BITS of
+    max|term| / |sum|.  The first pass assumes |sum| >= 2**-_SUM_FLOOR_BITS
+    and sums once more at the precision |sum| asks for if it is smaller.
     """
     if not prec_bits and logmax <= _FLOAT64_MAX_LOG_TERM:
         terms = np.exp(bind(_Float64)(np.arange(1, n_stop + 1, dtype=np.float64)))
         terms[1::2] *= -1.0
         # ascending-order pairwise reduction is fine at this magnitude
         return float(terms.sum())
-    bits = _bits(prec_bits, int(max(logmax, 0.0) / _LN2) + 64)
+    spread = max(logmax, 0.0) / _LN2 + math.log2(n_stop * math.lgamma(2 * n_stop + 2))
+    bits = _bits(prec_bits, int(spread) + _ROUND_BITS + _SUM_FLOOR_BITS)
+    total, maxterm = _mp_sum(bind, n_stop, bits)
+    if not prec_bits and total and mp.mag(total) < 1 - _SUM_FLOOR_BITS:
+        bits = int(spread) + _ROUND_BITS + 1 - mp.mag(total)
+        total, maxterm = _mp_sum(bind, n_stop, bits)
+    if maxterm > abs(total) * mp.mpf(2) ** (bits - _GUARD_BITS):
+        raise CancellationError(
+            f"lost all but {_GUARD_BITS} guard bits at {bits} bits; raise prec_bits"
+        )
+    return float(total)
+
+
+def _mp_sum(bind, n_stop: int, bits: int):
+    """(sum, max|term|) of the alternating series in mpmath at ``bits``."""
     with mp.workprec(bits):
-        log_term = bind(_Mpmath)
+        log_term = bind(_Mpmath())
         total = maxterm = mp.mpf(0)
         for n in range(1, n_stop + 1):
-            term = mp.e ** log_term(n)
+            term = mp.exp(log_term(n))
             maxterm = max(maxterm, term)
             total += term if n % 2 == 1 else -term
-        if maxterm > abs(total) * mp.mpf(2) ** (bits - _GUARD_BITS):
-            raise CancellationError(
-                f"lost all but {_GUARD_BITS} guard bits at {bits} bits; raise prec_bits"
-            )
-        return float(total)
+        return total, maxterm
 
 
 # --------------------------------------------------------------------- #
@@ -244,8 +280,9 @@ def _length_scan(q: float, lamq: float, x: float):
     """(n_stop, log max|term|) of the length CDF series at x.
 
     Terms decay superexponentially after their peak; the scan stops once
-    120 nats below the peak.  The density's terms differ by n/x, so the
-    same scan sizes its sum too.
+    120 nats below the peak, and below e^-99 when the peak is past the
+    float64 range (the sum stays O(1) however large its terms).  The
+    density's terms differ by n/x, so the same scan sizes its sum too.
     """
     log_term = _length_log_term(q, lamq, x)(_Float64)
     logmax = -math.inf
@@ -256,7 +293,12 @@ def _length_scan(q: float, lamq: float, x: float):
         lt = log_term(ns)
         logmax = max(logmax, float(lt.max()))
         n = int(ns[-1])
-        if lt[-1] < logmax - 120.0:
+        small = lt < min(logmax, _FLOAT64_MAX_LOG_TERM) - 120.0
+        if small[-1]:
+            if logmax > _FLOAT64_MAX_LOG_TERM:
+                # the terms are log-concave in n: mpmath, which sums them
+                # one at a time, stops at the first small one
+                n = int(ns[small.argmax()])
             return n, logmax
         block = min(2 * block, 8192)
     raise CancellationError(f"series term scan exceeded {_MAX_TERMS} terms")
@@ -264,6 +306,7 @@ def _length_scan(q: float, lamq: float, x: float):
 
 def _length_series(q: float, lam: float, x: float, pdf: bool, prec_bits: int) -> float:
     _check_q_lam(q, lam)
+    _check_finite(x)
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0.0:
@@ -278,8 +321,10 @@ def _length_series(q: float, lam: float, x: float, pdf: bool, prec_bits: int) ->
 def length_pdf(q: float, lam: float, x: float, *, prec_bits: int = 0) -> float:
     """Density of total tree length at x; ell(0) = lam*q.
 
-    ``prec_bits`` = 0 sizes the precision from the term scan; an explicit
-    value (>= 53) forces the mpmath sum at that precision.
+    ``prec_bits`` = 0 sizes the precision from the term scan: float64 while
+    the terms stay below 2**30 (not correctly rounded; the error grows with
+    the largest term), else mpmath returning the correctly rounded value.
+    An explicit value (>= 53) forces the mpmath sum at that precision.
     """
     return _length_series(q, lam, float(x), True, prec_bits)
 
@@ -302,6 +347,7 @@ def length_cdf_grid(q: float, lam: float, xs) -> np.ndarray:
     if np.any(xs < 0):
         raise ValueError("x must be >= 0")
     xmax = float(xs.max())
+    _check_finite(xmax)
     if xmax == 0.0:
         return np.zeros_like(xs)
     lamq = lam * q
@@ -357,60 +403,50 @@ def length_tail(q: float, lam: float, x: float) -> float:
 # Bessel-based closed forms for the binary case q = 1/2 (cross-check oracle)
 
 def bessel_i0(x: float, *, prec_bits: int = 0) -> float:
-    return _bessel_series(x, 0, _bessel_bits(x, prec_bits))
+    return _bessel_eval(x, prec_bits, lambda z: _bessel_series(z, 0))
 
 
 def bessel_i1(x: float, *, prec_bits: int = 0) -> float:
-    return _bessel_series(x, 1, _bessel_bits(x, prec_bits))
+    return _bessel_eval(x, prec_bits, lambda z: _bessel_series(z, 1))
 
 
-def _bessel_bits(x: float, prec_bits: int) -> int:
-    """Precision sized to e^x, the magnitude of the positive-term sum."""
-    return _bits(prec_bits, int(1.45 * x) + 80)
-
-
-def _bessel_series(x: float, nu: int, bits: int) -> float:
-    """I_nu by its power series; all terms positive."""
+def _bessel_eval(x: float, prec_bits: int, f) -> float:
+    """float(f(x)), rounded once, with f evaluated at a precision sized to
+    e^x, the magnitude of the positive-term sums it takes."""
+    _check_finite(x)
     if x < 0:
         raise ValueError("x must be >= 0")
-    with mp.workprec(bits):
-        h = mp.mpf(x) / 2
-        term = h ** nu / mp.factorial(nu)
-        total = term
-        k = 1
-        while True:
-            term *= h * h / (k * (k + nu))
-            total += term
-            if term < total * mp.mpf(2) ** (-bits + 8):
-                break
-            k += 1
-            if k > _MAX_TERMS:
-                raise CancellationError(f"Bessel series exceeded {_MAX_TERMS} terms")
-        return float(total)
+    with mp.workprec(_bits(prec_bits, int(1.45 * x) + 80)):
+        return float(f(mp.mpf(x)))
 
 
-def _bessel_emx(x: float, nu: int, prec_bits: int) -> float:
-    bits = _bessel_bits(x, prec_bits)
-    with mp.workprec(bits):
-        return float(mp.e ** (-mp.mpf(x)) * _bessel_series(x, nu, bits))
+def _bessel_series(z, nu: int):
+    """I_nu(z) by its power series at the working precision; all terms positive."""
+    h = z / 2
+    term = h ** nu / mp.factorial(nu)
+    total = term
+    k = 1
+    while True:
+        term *= h * h / (k * (k + nu))
+        total += term
+        if term <= total * mp.mpf(2) ** (8 - mp.mp.prec):
+            return total
+        k += 1
+        if k > _MAX_TERMS:
+            raise CancellationError(f"Bessel series exceeded {_MAX_TERMS} terms")
 
 
 def length_pdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> float:
     """q = 1/2 closed form: ell(x) = e^(-lam x) I_1(lam x) / x."""
     if x <= 0:
         raise ValueError("x must be > 0 (ell(0) = lam/2 by the series)")
-    return _bessel_emx(lam * x, 1, prec_bits) / x
+    return _bessel_eval(lam * x, prec_bits, lambda z: mp.exp(-z) * _bessel_series(z, 1) / x)
 
 
 def length_cdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> float:
     """q = 1/2 closed form: L(x) = 1 - e^(-lam x)(I_0 + I_1)(lam x)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    z = lam * x
-    bits = _bessel_bits(z, prec_bits)
-    with mp.workprec(bits):
-        s = _bessel_series(z, 0, bits) + _bessel_series(z, 1, bits)
-        return float(1 - mp.e ** (-mp.mpf(z)) * s)
+    return _bessel_eval(lam * x, prec_bits, lambda z: 1 - mp.exp(-z) * (
+        _bessel_series(z, 0) + _bessel_series(z, 1)))
 
 
 # --------------------------------------------------------------------- #
@@ -439,8 +475,7 @@ def size_cdf(q, x: float, *, prec_bits: int = 0):
     float, with ``prec_bits`` as for :func:`length_pdf`.
     """
     _check_q(q)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, not {x!r}")
+    _check_finite(x)
     N = int(math.floor(x))
     if N < 1:
         return Fraction(0) if isinstance(q, Fraction) else 0.0
@@ -451,7 +486,7 @@ def _size_log_term(q: float, N: int, s: int):
     """log|term_k| of :func:`_size_series`: a binomial, B_k and q^k / k!."""
     def bind(ar):
         qa = ar.num(q)
-        lgN, lq = ar.lgamma(ar.num(N + s)), ar.log(qa)
+        lgN, lq = ar.lgamma(N + s), ar.log(qa)
 
         def log_term(n):
             logbin = lgN - ar.lgamma(n + s) - ar.lgamma(N - n + 1)

@@ -4,7 +4,9 @@ algebra, coloring fixed point, and the attractor limit."""
 
 import math
 from fractions import Fraction
+from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ive
@@ -126,6 +128,41 @@ class TestLength:
         ratios = [(1 - A.length_cdf(2 / 3, 1.0, x)) / A.length_tail(2 / 3, 1.0, x)
                   for x in (10.0, 30.0, 50.0)]
         assert abs(ratios[2] - 1) < abs(ratios[1] - 1) < abs(ratios[0] - 1)
+
+    def test_scan_keeps_every_term_that_counts(self):
+        # the scan used to stop 120 nats below the peak, which past 2**30
+        # dropped terms up to e^1237: length_cdf(0.5, 1, 200) read -6e44
+        for x in (80.0, 200.0, 250.0):
+            assert A.length_cdf(0.5, 1.0, x) == A.length_cdf_bessel_binary(1.0, x)
+
+    def test_bessel_oracles_round_once(self):
+        # the closed forms used to round I_nu to a float before scaling it
+        with mp.workprec(2000):
+            for x in (1.0, 3.0, 5.0, 20.0, 70.0, 150.0):
+                z = mp.mpf(x)
+                i0, i1 = mp.besseli(0, z), mp.besseli(1, z)
+                assert A.length_cdf_bessel_binary(1.0, x) == float(1 - mp.exp(-z) * (i0 + i1))
+                assert A.length_pdf_bessel_binary(1.0, x) == float(mp.exp(-z) * i1 / z)
+        assert (A.bessel_i0(0.0), A.bessel_i1(0.0)) == (1.0, 0.0)
+
+    # before the checks, nan and inf ran the 200,000-term scan into a
+    # CancellationError, or a bare int(nan) ValueError in the oracles
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_needs_a_finite_x(self, x):
+        for f in (A.length_cdf, A.length_pdf, lambda q, lam, x: A.length_cdf_grid(q, lam, [1.0, x])):
+            with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
+                f(0.5, 1.0, x)
+        for f in (A.bessel_i0, A.bessel_i1, partial(A.length_cdf_bessel_binary, 1.0),
+                  partial(A.length_pdf_bessel_binary, 1.0)):
+            with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
+                f(x)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_needs_a_finite_lam(self, lam):
+        for f in (A.length_cdf, A.length_pdf, A.height_cdf, A.height_survival_pt,
+                  lambda q, lam, x: A.length_cdf_grid(q, lam, [x])):
+            with pytest.raises(ValueError, match=f"lam must be finite and > 0, not {lam!r}"):
+                f(0.5, lam, 1.0)
 
 
 class TestSize:

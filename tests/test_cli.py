@@ -12,10 +12,12 @@ import dataclasses
 import json
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from igwlab import analytics as ana
 from igwlab import cli
 from igwlab import experiments as xp
 from igwlab.cli import main as cli_main
@@ -332,3 +334,18 @@ def test_undeclared_fields_leave_the_result_unchanged(case):
     f = "dist" if case == ("attractor", "gf") else "seed"
     assert f in declared
     assert _result(case, dataclasses.replace(spec, **{f: OTHER[f]})) != base
+
+
+@pytest.mark.parametrize("mode,grid,oracle", [
+    ("length", "115:125:5", lambda x: ana.length_cdf_bessel_binary(1.0, x)),
+    ("size", "396:404:4", lambda n: float(ana.size_cdf(Fraction(1, 2), int(n)))),
+], ids=["length", "size"])
+def test_dist_prints_correctly_rounded_law_values(mode, grid, oracle, capsys):
+    """Past the float64 range each printed CDF value equals its oracle bit for
+    bit: the Bessel closed form, the exact Fraction size law."""
+    lam = ["--lam", "1"] if mode == "length" else []
+    assert cli_main(["dist", mode, "--q", "0.5", *lam, "--x-grid", grid]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+    assert len(rows) == 3
+    for x, v in rows:
+        assert float(v).hex() == oracle(float(x)).hex(), f"{mode} at {x}"
