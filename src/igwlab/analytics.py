@@ -12,16 +12,18 @@ tree (binomial thinning through Q and its derivatives), the leaf-coloring
 survival fixed point, and the generating-function limit that identifies the
 pruning attractor.
 
-The alternating series cancel catastrophically as their argument grows (the
-terms peak near exp(c * lam*q*x) while the sums stay O(1)), so one evaluator
-sums them all: a cheap a-priori log-term scan bounds the largest term, small
-cases take a vectorized float64 path, and everything else is summed by
-mpmath, at an explicit ``prec_bits`` or else at a precision sized from the
-scan so that the returned float is the correctly rounded value, with a
-cancellation guard that refuses to return digits that were never there.  For
-rational q the edge-count law is also computed in exact big-rational
-arithmetic (B_k is a finite rational product), which is what the acceptance
-identities use.
+The edge-count law has one evaluator.  Every float is an exact rational a/b,
+so B_k is a finite rational product and the series is summed in integers
+over one common denominator: a ``Fraction`` q gives the exact ``Fraction``,
+a float q the correctly rounded float of that same value.
+
+The length series cancels catastrophically as its argument grows (the terms
+peak near exp(c * lam*q*x) while the sum stays O(1)), so its evaluator first
+scans the log terms for the largest one.  Small cases take a vectorized
+float64 path; everything else is summed by mpmath, at an explicit
+``prec_bits`` or else at a precision sized from the scan so that the returned
+float is the correctly rounded value, with a cancellation guard that refuses
+to return digits that were never there.
 """
 
 from __future__ import annotations
@@ -164,24 +166,21 @@ def _B_numer(n: int, a: int, b: int) -> int:
     return math.prod(range(n * b, n * b - (n - 1) * a, -a))
 
 
-# A series' log-term formula is written once, against one of these two
-# arithmetics: float64 over an array of n (math.* on scalars), or mpmath at
-# the working precision, one n at a time.
+# The length series' log-term formula is written once, against one of these
+# two arithmetics: float64 over an array of n (math.* on scalars), or mpmath
+# at the working precision, one n at a time.
 
 
 class _Float64:
     num = float
     log = staticmethod(_log)
     lgamma = staticmethod(_lgamma)
-
-    @staticmethod
-    def plus_log_B(x, n, q):
-        return x + _log_B(n, q)
+    log_B = staticmethod(_log_B)
 
 
 class _Mpmath:
-    """One sum's arithmetic: log Gamma at an integer m is log (m-1)!, read
-    from a table of log k! that grows by cumulative mp.log(k) sums."""
+    """One length sum's arithmetic: log Gamma at an integer m is log (m-1)!,
+    read from a table of log k! that grows by cumulative mp.log(k) sums."""
     num = mp.mpf
     log = staticmethod(mp.log)
 
@@ -196,10 +195,8 @@ class _Mpmath:
             t.append(t[-1] + mp.log(len(t)))
         return t[m - 1]
 
-    def plus_log_B(self, x, n, q):
-        # the loggammas join x one at a time here and as one rounded block in
-        # float64: the roundings each path has always made
-        return x + self.lgamma(n / q + 1) - self.lgamma(n / q - n + 2)
+    def log_B(self, n, q):
+        return self.lgamma(n / q + 1) - self.lgamma(n / q - n + 2)
 
 
 def _bits(prec_bits: int, auto: int) -> int:
@@ -214,7 +211,8 @@ def _bits(prec_bits: int, auto: int) -> int:
 
 
 def _alternating_sum(bind, n_stop: int, logmax: float, prec_bits: int) -> float:
-    """sum_{n=1}^{n_stop} (-1)^(n-1) exp(log_term(n)), log_term = bind(arithmetic).
+    """sum_{n=1}^{n_stop} (-1)^(n-1) exp(log_term(n)), log_term = bind(arithmetic):
+    the length series (the size law is summed exactly, in integers).
 
     ``logmax`` bounds the largest log term.  With no explicit precision and
     terms of at most 2**30 the sum is one float64 pass.  Otherwise mpmath
@@ -268,7 +266,7 @@ def _length_log_term(q: float, lamq: float, x: float, pdf: bool = False):
         lx = ar.log(ar.num(x)) if pdf else None
 
         def log_term(n):
-            lt = ar.plus_log_B(0, n, qa) + n * lf - 2 * ar.lgamma(n + 1)
+            lt = ar.log_B(n, qa) + n * lf - 2 * ar.lgamma(n + 1)
             if pdf:
                 lt += ar.log(n) - lx
             return lt
@@ -395,6 +393,7 @@ def length_cdf_grid_limit(q: float, lam: float) -> float:
 def length_tail(q: float, lam: float, x: float) -> float:
     """Asymptotic tail 1 - L(x) ~ x^-q / ((lam q)^q Gamma(1-q)); not exact."""
     _check_q_lam(q, lam)
+    _check_finite(x)
     if x <= 0:
         raise ValueError("x must be > 0")
     return x ** (-q) / ((lam * q) ** q * math.gamma(1.0 - q))
@@ -454,63 +453,48 @@ def length_cdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> flo
 # --------------------------------------------------------------------- #
 
 
-def size_pmf(q, n: int, *, prec_bits: int = 0):
-    """P(#edges = n).  Fraction q -> exact Fraction; float q -> float.
+def size_pmf(q, n: int):
+    """P(#edges = n).  Fraction q -> exact Fraction; float q -> float, the
+    correctly rounded value of the exact law at q.
 
     q lies in [1/2, 1) and n is a Python or numpy integer >= 1; any other n,
     floats such as 3.0, 2.5 and nan included, raises ValueError.
-    ``prec_bits`` applies to float q, as for :func:`length_pdf`.
     """
     _check_q(q)
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, not {n!r}")
-    return _size_series(q, int(n), 0, prec_bits)
+    return _size_series(q, int(n), 0)
 
 
-def size_cdf(q, x: float, *, prec_bits: int = 0):
+def size_cdf(q, x: float):
     """P(#edges <= x), via the binomial-telescoped form.
 
     q lies in [1/2, 1) and x is any finite real (nan and inf raise
     ValueError); x < 1 gives 0.  Fraction q -> exact Fraction; float q ->
-    float, with ``prec_bits`` as for :func:`length_pdf`.
+    float, correctly rounded as for :func:`size_pmf`.
     """
     _check_q(q)
     _check_finite(x)
     N = int(math.floor(x))
     if N < 1:
         return Fraction(0) if isinstance(q, Fraction) else 0.0
-    return _size_series(q, N, 1, prec_bits)
+    return _size_series(q, N, 1)
 
 
-def _size_log_term(q: float, N: int, s: int):
-    """log|term_k| of :func:`_size_series`: a binomial, B_k and q^k / k!."""
-    def bind(ar):
-        qa = ar.num(q)
-        lgN, lq = ar.lgamma(N + s), ar.log(qa)
-
-        def log_term(n):
-            logbin = lgN - ar.lgamma(n + s) - ar.lgamma(N - n + 1)
-            return ar.plus_log_B(logbin, n, qa) + n * lq - ar.lgamma(n + 1)
-        return log_term
-    return bind
-
-
-def _size_series(q, N: int, s: int, prec_bits: int):
+def _size_series(q, N: int, s: int):
     """sum_{k=1}^{N} (-1)^(k-1) C(N-1+s, k-1+s) B_k q^k / k!: the pmf at N
-    (s = 0) or the CDF up to N (s = 1)."""
-    if isinstance(q, Fraction):
-        # with q = a/b, term_k = C a prod_{j<k-1} (k b - j a) / (b^k k!): sum
-        # the numerators over b^N N!, scale = b^(N-k) N!/k!, in integers
-        a, b = q.numerator, q.denominator
-        total, scale = 0, 1
-        for k in range(N, 0, -1):
-            term = math.comb(N - 1 + s, k - 1 + s) * _B_numer(k, a, b) * scale
-            total += term if k % 2 == 1 else -term
-            scale *= k * b
-        return Fraction(a * total, b ** N * math.factorial(N))
-    bind = _size_log_term(float(q), N, s)
-    logmax = float(bind(_Float64)(np.arange(1, N + 1, dtype=np.float64)).max())
-    return _alternating_sum(bind, N, logmax, prec_bits)
+    (s = 0) or the CDF up to N (s = 1), summed exactly at q = a/b, which a
+    float q is as much as a Fraction."""
+    # with q = a/b, term_k = C a prod_{j<k-1} (k b - j a) / (b^k k!): sum
+    # the numerators over b^N N!, scale = b^(N-k) N!/k!, in integers
+    a, b = q.as_integer_ratio()
+    total, scale = 0, 1
+    for k in range(N, 0, -1):
+        term = math.comb(N - 1 + s, k - 1 + s) * _B_numer(k, a, b) * scale
+        total += term if k % 2 == 1 else -term
+        scale *= k * b
+    num, den = a * total, b ** N * math.factorial(N)
+    return Fraction(num, den) if isinstance(q, Fraction) else num / den
 
 
 def size_pmf_oracle(d: OffspringDistribution, n_max: int, exact: bool = True):
@@ -555,6 +539,7 @@ def size_pmf_oracle(d: OffspringDistribution, n_max: int, exact: bool = True):
 def size_tail(q: float, x: float) -> float:
     """Asymptotic tail 1 - A(x) ~ x^-q / (q^q Gamma(1-q)); not exact."""
     _check_q(q)
+    _check_finite(x)
     if x < 1:
         raise ValueError("x must be >= 1")
     return x ** (-q) / (q ** q * math.gamma(1.0 - q))
@@ -569,21 +554,20 @@ def lagrange_w_coeffs(q, N: int):
     """First N coefficients of the series W(z) inverting z = W/(1-W)^(1/q).
 
     w_n = (-1)^(n-1) B_n / n!; for q = 1/2 these are signed Catalan numbers.
-    Fraction q gives exact Fractions, float q gives float64.
+    Fraction q gives a list of exact Fractions, float q a float64 array of
+    the same coefficients at q's exact value, each rounded once (one past
+    the float range, as from N = 520 at q = 1/2, raises OverflowError).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if isinstance(q, Fraction):
-        a, b = q.numerator, q.denominator
-        out = []
-        for n in range(1, N + 1):
-            w = Fraction(_B_numer(n, a, b), a ** (n - 1) * math.factorial(n))
-            out.append(w if n % 2 == 1 else -w)
-        return out
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    w = np.exp(_log_B(ns, float(q)) - _lgamma(ns + 1.0))
-    w[1::2] *= -1.0
-    return w
+    a, b = q.as_integer_ratio()
+    exact = isinstance(q, Fraction)
+    out = []
+    for n in range(1, N + 1):
+        num, den = _B_numer(n, a, b), a ** (n - 1) * math.factorial(n)
+        w = Fraction(num, den) if exact else num / den
+        out.append(w if n % 2 == 1 else -w)
+    return out if exact else np.array(out)
 
 
 def lagrange_roundtrip_residual(q: float, z: float, N: int = 40) -> float:

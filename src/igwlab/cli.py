@@ -161,15 +161,14 @@ def _dist(spec, args):
     if not (math.isfinite(lo + hi + step) and lo <= hi and step > 0):
         raise ValueError(f"--x-grid {args.x_grid!r} is not lo:hi:step "
                          "with lo <= hi and step > 0")
-    prec_bits = args.prec_bits or 0
     grid = np.arange(lo, hi + step / 2, step).tolist()
     if args.mode == "height":
         rows = [(x, ana.height_cdf(args.q, spec.lam, x)) for x in grid]
     elif args.mode == "length":
+        prec_bits = args.prec_bits or 0
         rows = [(x, ana.length_cdf(args.q, spec.lam, x, prec_bits=prec_bits)) for x in grid]
     else:  # each edge count once, however fine the grid
-        rows = [(n, float(ana.size_cdf(args.q, n, prec_bits=prec_bits)))
-                for n in dict.fromkeys(max(int(x), 1) for x in grid)]
+        rows = [(n, ana.size_cdf(args.q, n)) for n in dict.fromkeys(max(int(x), 1) for x in grid)]
     with open(_tmp(args.csv), "w") if args.csv else nullcontext(sys.stdout) as fh:
         fh.write("\n".join(["x,cdf"] + [f"{x!r},{v!r}" for x, v in rows]) + "\n")
 
@@ -268,7 +267,7 @@ _VERBS = {
     "dist": (_dist, "closed-form law values on a grid", {
         "height": ("q", "lam", "x_grid", "csv"),
         "length": ("q", "lam", "x_grid", "prec_bits", "csv"),
-        "size": ("q", "x_grid", "prec_bits", "csv")}),
+        "size": ("q", "x_grid", "csv")}),
     "verify": (lambda spec, args: _shown(_VERIFY_RUNS[args.mode](spec)),
                "distribution-law Monte Carlo checks", {
                    "height": _VERIFY + ("lam", "max_censor_rate"),

@@ -159,10 +159,12 @@ def run_verify_length(spec: ExperimentSpec) -> gof.GofReport:
 def run_verify_size(spec: ExperimentSpec) -> gof.GofReport:
     """Chi-square of edge counts against the exact pmf for n <= 30 + tail.
 
-    Prechecks that the closed form and the convolution oracle agree exactly
-    (rational arithmetic) before using it as the expected pmf.  Censored
-    trees are counted in the open bucket above 30 edges, so the budget
-    must be at least 30.
+    A q within 1e-15 of a rational with denominator <= 10^6 is read as that
+    rational (igw:0.6666666666666666 as 2/3): the pmf is the exact Fraction,
+    checked against the convolution oracle before it is used.  Any other q
+    takes the float pmf, the same exact law at the float's own value,
+    rounded once.  Censored trees are counted in the open bucket above 30
+    edges, so the budget must be at least 30.
     """
     d = _require_igw(spec)
     if spec.budget < 30:

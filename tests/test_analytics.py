@@ -113,8 +113,6 @@ class TestLength:
             with pytest.raises(ValueError):
                 f(0.5, 1.0, 2.0, prec_bits=32)
         with pytest.raises(ValueError):
-            A.size_cdf(0.5, 30, prec_bits=32)
-        with pytest.raises(ValueError):
             A.bessel_i0(2.0, prec_bits=52)
 
     def test_tail_ratio_binary(self):
@@ -149,7 +147,8 @@ class TestLength:
     # CancellationError, or a bare int(nan) ValueError in the oracles
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_needs_a_finite_x(self, x):
-        for f in (A.length_cdf, A.length_pdf, lambda q, lam, x: A.length_cdf_grid(q, lam, [1.0, x])):
+        for f in (A.length_cdf, A.length_pdf, A.length_tail,
+                  lambda q, lam, x: A.length_cdf_grid(q, lam, [1.0, x])):
             with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
                 f(0.5, 1.0, x)
         for f in (A.bessel_i0, A.bessel_i1, partial(A.length_cdf_bessel_binary, 1.0),
@@ -198,11 +197,20 @@ class TestSize:
         assert A.size_cdf(qf, 15.9) == s
 
     def test_float_mode_tracks_exact(self):
-        # float mode carries ~ max-term * eps absolute error; the exact
-        # rational mode is the precision route
-        for n in (1, 5, 11, 20):
-            assert A.size_pmf(0.5, n) == pytest.approx(
-                float(A.size_pmf(Fraction(1, 2), n)), abs=1e-8)
+        # the float law is the exact sum at q's rational value, rounded once.
+        # A float64 series was off by 10% at q = 0.9, N = 30, gave -7.1e-15
+        # at q = 1/2, N = 10, raised CancellationError at even N from 26 and
+        # read size_cdf(0.5, 2) < size_cdf(0.5, 1)
+        for n in range(1, 201):
+            m, even = divmod(n - 1, 2)  # 2m + 1 edges: m branch points
+            catalan = math.comb(2 * m, m) // (m + 1)
+            assert A.size_pmf(0.5, n) == (0.0 if even else catalan / 2 ** n)
+        cdf = [A.size_cdf(0.5, n) for n in range(1, 201)]
+        assert all(a <= b for a, b in zip(cdf, cdf[1:]))
+        for q in (2 / 3, 0.9):
+            oracle = A.size_pmf_oracle(O.IGW(q), 60, exact=True)
+            for n in range(1, 61):
+                assert A.size_pmf(q, n) == pytest.approx(float(oracle[n]), rel=1e-15, abs=0)
 
     def test_tail_constant_monotone_in_q(self):
         # 1/(q^q Gamma(1-q)) -> 0 as q -> 1-
@@ -223,8 +231,9 @@ class TestSize:
     @pytest.mark.parametrize("q", [0.5, Fraction(1, 2)])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_cdf_needs_a_finite_x(self, q, x):
-        with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
-            A.size_cdf(q, x)
+        for f in (A.size_cdf, A.size_tail):
+            with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
+                f(q, x)
 
     def test_exact_tail_vs_asymptotic(self):
         tail = 1 - A.size_cdf(Fraction(1, 2), 1000)
@@ -239,6 +248,11 @@ class TestLagrange:
     def test_first_coefficient_is_one(self):
         for q in (0.5, 2 / 3, 0.9):
             assert A.lagrange_w_coeffs(q, 1)[0] == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [0.5, 2 / 3, 0.9, 0.6180339887498949, 0.7312])
+    def test_float_coefficients_are_the_exact_ones_rounded_once(self, q):
+        exact = A.lagrange_w_coeffs(Fraction(q), 420)
+        assert A.lagrange_w_coeffs(q, 420).tolist() == [float(w) for w in exact]
 
     @pytest.mark.parametrize("q", [0.5, 2 / 3, 0.9])
     def test_roundtrip(self, q):

@@ -3,12 +3,13 @@
 Every other test of the closed-form laws compares within a tolerance; these
 compare exact bits, so a change that reorders a sum or moves a rounding
 shows here.  Scalars are pinned by ``float.hex``, arrays by the SHA-256 of
-their float64 bytes and exact rationals by the SHA-256 of ``str``.  Values
-on the mpmath path of the series (length at x = 120, the size law) are the
-correctly rounded ones: each equals its independent oracle (the Bessel
-closed forms at q = 1/2, the exact ``Fraction`` size sums) and the series
-at ``prec_bits=2500``.  The float64-path values and the explicit-precision
-ones were recorded before the series evaluators were merged into one.
+their float64 bytes and exact rationals by the SHA-256 of ``str``.  The
+float size law is the exact integer sum at q's own value, rounded once, so
+its pins equal the float of the ``Fraction`` law.  Values on the mpmath path
+of the length series (x = 120) are the correctly rounded ones: each equals
+the Bessel closed form at q = 1/2 and the series at ``prec_bits=2500``.  The
+float64-path values and the explicit-precision ones were recorded before
+the series evaluators were merged into one.
 """
 
 import hashlib
@@ -56,7 +57,7 @@ def test_length_grid_and_its_limit():
 
 def test_size_law():
     assert A.size_pmf(2 / 3, 30).hex() == "0x1.42c465e3488e6p-10"
-    assert A.size_cdf(0.5, 400).hex() == "0x1.eb964037e6fe9p-1"  # mpmath path
+    assert A.size_cdf(0.5, 400).hex() == "0x1.eb964037e6fe9p-1"
     exact = A.size_cdf(Fraction(1, 2), 101)
     assert hashlib.sha256(str(exact).encode()).hexdigest() == (
         "3197e8f8c4601a021564d765769e3ae475c01049aebb88bf240bd88f10256316")

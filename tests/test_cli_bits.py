@@ -62,7 +62,7 @@ DIGESTS = {
     "coloring": "d6a797f21a4d9d25bfd9ca70889bfd187c7fe5b6ab5269f3aa68b8b0a722f74a",
     "dist-height": "f55f383226c00b8a86dede7d052e476d70994c4d8d24a1f9af252d647a1e4cc7",
     "dist-length": "c75f732029f73ada3b087cff0d11fe0a0c07a32741d9e8d7ea8258687a88b3d9",
-    "dist-size": "faa6e8d1263a9bcdfdf3827d5ef12b94a159b0be2f3beab834067df9ebd5b07a",
+    "dist-size": "f45a57a40ac6ea0770107c3366ee0ee21047c10df811cc950e7ff111a1160fae",
     "falsify": "a0e5b50e459fcdfb2f054fb2d912a85a3cd53703a16ca01c4d9de1e156bde935",
     "invariance": "487645258d3c5c434ba16806065595f5f44228cca0b5c945fd111f1b41f8a32d",
     "prune": "f349c0583f4fbabb362c3101ce6c208cb47e13446af32de2f6520343de2b4da4",

@@ -45,7 +45,7 @@ def test_integer_size_series_equals_fraction_series(q):
     B = [None] + [_B_fraction(k, q) for k in range(1, 61)]
     for N in range(1, 61):
         for s in (0, 1):
-            assert A._size_series(q, N, s, 0) == _size_series_oracle(q, N, s, B)
+            assert A._size_series(q, N, s) == _size_series_oracle(q, N, s, B)
     w = A.lagrange_w_coeffs(q, 60)
     assert w == [(1 if n % 2 else -1) * B[n] / math.factorial(n) for n in range(1, 61)]
 

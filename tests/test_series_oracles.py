@@ -1,13 +1,14 @@
 """Series values against independent oracles, bit for bit.
 
-Past the float64 range the length and size series are summed in mpmath at a
-precision sized to return the correctly rounded float.  Each case draws its
-parameters from ``CounterStream(SEED, case, domain)``, so a failing case
-reproduces from its number alone.  Oracles: the exact ``Fraction`` size law
-(its float is the correctly rounded value), the Bessel closed forms at
-q = 1/2 and, at other q, the same series at ``prec_bits=1200`` (1,200 and
-3,000 bits agree on every case).  Every point lies past the float64 range,
-where the largest term exceeds 2**30.
+The float size law is the exact integer sum at q's own value, rounded once;
+it is pinned here as the float of the ``Fraction`` law.  Past the float64
+range the length series is summed in mpmath at a precision sized to return
+the correctly rounded float.  Each case draws its parameters from
+``CounterStream(SEED, case, domain)``, so a failing case reproduces from its
+number alone.  The length oracles are the Bessel closed forms at q = 1/2
+and, at other q, the same series at ``prec_bits=1200`` (1,200 and 3,000 bits
+agree on every case).  Every length point lies past the float64 range, where
+the largest term exceeds 2**30.
 """
 
 from fractions import Fraction
