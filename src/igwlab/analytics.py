@@ -19,11 +19,12 @@ a float q the correctly rounded float of that same value.
 
 The length series cancels catastrophically as its argument grows (the terms
 peak near exp(c * lam*q*x) while the sum stays O(1)), so its evaluator first
-scans the log terms for the largest one.  Small cases take a vectorized
-float64 path; everything else is summed by mpmath, at an explicit
-``prec_bits`` or else at a precision sized from the scan so that the returned
-float is the correctly rounded value, with a cancellation guard that refuses
-to return digits that were never there.
+scans the float64 log terms for the largest one.  A series whose terms stay
+below 2**30 is then summed in float64 from those same log terms; everything
+else is summed term by term in mpmath, at an explicit ``prec_bits`` or else
+at a precision sized from the scan so that the returned float is the
+correctly rounded value, with a cancellation guard that refuses to return
+digits that were never there.
 """
 
 from __future__ import annotations
@@ -109,12 +110,18 @@ def _check_finite(x):
         raise ValueError(f"x must be finite, not {x!r}")
 
 
+def _nonnegative(name: str, x) -> np.ndarray:
+    """x as a float64 array whose every entry is >= 0: inf passes, nan not."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x >= 0):
+        raise ValueError(f"{name} must be >= 0, not nan or negative")
+    return x
+
+
 def height_cdf(q: float, lam: float, x) -> float | np.ndarray:
     """P(height <= x) for the invariant tree with parameters (q, lam)."""
     _check_q_lam(q, lam)
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
+    x = _nonnegative("x", x)
     out = 1.0 - (lam * (1.0 - q) * x + 1.0) ** (-q / (1.0 - q))
     return float(out) if out.ndim == 0 else out
 
@@ -122,9 +129,7 @@ def height_cdf(q: float, lam: float, x) -> float | np.ndarray:
 def height_survival_pt(q: float, lam: float, t) -> float | np.ndarray:
     """p_t for height-threshold pruning: the tree survives iff height > t."""
     _check_q_lam(q, lam)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
+    t = _nonnegative("t", t)
     out = (lam * (1.0 - q) * t + 1.0) ** (-q / (1.0 - q))
     return float(out) if out.ndim == 0 else out
 
@@ -140,138 +145,18 @@ def height_ode_max_residual(q: float, lam: float, xs, h: float = 1e-4) -> float:
 
 
 # --------------------------------------------------------------------- #
-# The Gamma-ratio block and the alternating-series evaluator              #
-# --------------------------------------------------------------------- #
-
-
-def _log_B(n, q: float):
-    """log B_n = lgamma(n/q + 1) - lgamma(n/q - n + 2); n/q - n + 2 > 0."""
-    n = np.asarray(n, dtype=np.float64)
-    return _lgamma(n / q + 1.0) - _lgamma(n / q - n + 2.0)
-
-
-def _lgamma(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        return math.lgamma(float(x))
-    return gammaln(x)
-
-
-def _log(x):
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
-
-
-def _B_numer(n: int, a: int, b: int) -> int:
-    """a^(n-1) B_n = prod_{j=0}^{n-2} (n b - j a): exact B_n for q = a/b."""
-    return math.prod(range(n * b, n * b - (n - 1) * a, -a))
-
-
-# The length series' log-term formula is written once, against one of these
-# two arithmetics: float64 over an array of n (math.* on scalars), or mpmath
-# at the working precision, one n at a time.
-
-
-class _Float64:
-    num = float
-    log = staticmethod(_log)
-    lgamma = staticmethod(_lgamma)
-    log_B = staticmethod(_log_B)
-
-
-class _Mpmath:
-    """One length sum's arithmetic: log Gamma at an integer m is log (m-1)!,
-    read from a table of log k! that grows by cumulative mp.log(k) sums."""
-    num = mp.mpf
-    log = staticmethod(mp.log)
-
-    def __init__(self):
-        self.log_fact = [mp.mpf(0)]
-
-    def lgamma(self, m):
-        if not mp.isint(m):
-            return mp.loggamma(m)
-        m, t = int(m), self.log_fact
-        while len(t) < m:
-            t.append(t[-1] + mp.log(len(t)))
-        return t[m - 1]
-
-    def log_B(self, n, q):
-        return self.lgamma(n / q + 1) - self.lgamma(n / q - n + 2)
-
-
-def _bits(prec_bits: int, auto: int) -> int:
-    """The working precision: ``prec_bits`` when set, else ``auto``.
-
-    An explicit precision must be at least 53 bits and is used as-is (the
-    cancellation guard then aborts rather than return noise).
-    """
-    if prec_bits and prec_bits < 53:
-        raise ValueError("explicit precision must be at least 53 bits")
-    return prec_bits or auto
-
-
-def _alternating_sum(bind, n_stop: int, logmax: float, prec_bits: int) -> float:
-    """sum_{n=1}^{n_stop} (-1)^(n-1) exp(log_term(n)), log_term = bind(arithmetic):
-    the length series (the size law is summed exactly, in integers).
-
-    ``logmax`` bounds the largest log term.  With no explicit precision and
-    terms of at most 2**30 the sum is one float64 pass.  Otherwise mpmath
-    sums it, at ``prec_bits`` as given or at the precision that returns the
-    correctly rounded float: a log term is off by about n_stop ulps of its
-    largest log-Gamma piece P ~ lgamma(2 n_stop + 2), exp turns that into a
-    relative error of each term, and the sum must keep _ROUND_BITS of
-    max|term| / |sum|.  The first pass assumes |sum| >= 2**-_SUM_FLOOR_BITS
-    and sums once more at the precision |sum| asks for if it is smaller.
-    """
-    if not prec_bits and logmax <= _FLOAT64_MAX_LOG_TERM:
-        terms = np.exp(bind(_Float64)(np.arange(1, n_stop + 1, dtype=np.float64)))
-        terms[1::2] *= -1.0
-        # ascending-order pairwise reduction is fine at this magnitude
-        return float(terms.sum())
-    spread = max(logmax, 0.0) / _LN2 + math.log2(n_stop * math.lgamma(2 * n_stop + 2))
-    bits = _bits(prec_bits, int(spread) + _ROUND_BITS + _SUM_FLOOR_BITS)
-    total, maxterm = _mp_sum(bind, n_stop, bits)
-    if not prec_bits and total and mp.mag(total) < 1 - _SUM_FLOOR_BITS:
-        bits = int(spread) + _ROUND_BITS + 1 - mp.mag(total)
-        total, maxterm = _mp_sum(bind, n_stop, bits)
-    if maxterm > abs(total) * mp.mpf(2) ** (bits - _GUARD_BITS):
-        raise CancellationError(
-            f"lost all but {_GUARD_BITS} guard bits at {bits} bits; raise prec_bits"
-        )
-    return float(total)
-
-
-def _mp_sum(bind, n_stop: int, bits: int):
-    """(sum, max|term|) of the alternating series in mpmath at ``bits``."""
-    with mp.workprec(bits):
-        log_term = bind(_Mpmath())
-        total = maxterm = mp.mpf(0)
-        for n in range(1, n_stop + 1):
-            term = mp.exp(log_term(n))
-            maxterm = max(maxterm, term)
-            total += term if n % 2 == 1 else -term
-        return total, maxterm
-
-
-# --------------------------------------------------------------------- #
 # Length distribution                                                     #
 # --------------------------------------------------------------------- #
 
 
-def _length_log_term(q: float, lamq: float, x: float, pdf: bool = False):
-    """log|term_n| of the length series: B_n (lam q x)^n / (n!)^2 for the
-    CDF, times n/x for the density."""
-    def bind(ar):
-        qa, lf = ar.num(q), ar.log(ar.num(lamq) * ar.num(x))
-        lx = ar.log(ar.num(x)) if pdf else None
-
-        def log_term(n):
-            lt = ar.log_B(n, qa) + n * lf - 2 * ar.lgamma(n + 1)
-            if pdf:
-                lt += ar.log(n) - lx
-            return lt
-        return log_term
-    return bind
+def _log_terms(q: float, lamq: float, x: float, n: np.ndarray, pdf: bool = False) -> np.ndarray:
+    """log|term_n| of the length series at a float64 array n: B_n (lam q x)^n
+    / (n!)^2 for the CDF, times n/x for the density."""
+    log_B = gammaln(n / q + 1.0) - gammaln(n / q - n + 2.0)
+    lt = log_B + n * math.log(lamq * x) - 2 * gammaln(n + 1)
+    if pdf:
+        lt += np.log(n) - math.log(x)
+    return lt
 
 
 def _length_scan(q: float, lamq: float, x: float):
@@ -282,13 +167,12 @@ def _length_scan(q: float, lamq: float, x: float):
     float64 range (the sum stays O(1) however large its terms).  The
     density's terms differ by n/x, so the same scan sizes its sum too.
     """
-    log_term = _length_log_term(q, lamq, x)(_Float64)
     logmax = -math.inf
     n = 0
     block = 64
     while n < _MAX_TERMS:
         ns = np.arange(n + 1, min(n + 1 + block, _MAX_TERMS + 1), dtype=np.float64)
-        lt = log_term(ns)
+        lt = _log_terms(q, lamq, x, ns)
         logmax = max(logmax, float(lt.max()))
         n = int(ns[-1])
         small = lt < min(logmax, _FLOAT64_MAX_LOG_TERM) - 120.0
@@ -302,8 +186,85 @@ def _length_scan(q: float, lamq: float, x: float):
     raise CancellationError(f"series term scan exceeded {_MAX_TERMS} terms")
 
 
+def _bits(prec_bits: int, auto: int) -> int:
+    """The working precision: ``prec_bits`` when set, else ``auto``.
+
+    An explicit precision must be at least 53 bits and is used as-is (the
+    cancellation guard then aborts rather than return noise).
+    """
+    if prec_bits and prec_bits < 53:
+        raise ValueError("explicit precision must be at least 53 bits")
+    return prec_bits or auto
+
+
+def _alternating_sum(q: float, lamq: float, x: float, pdf: bool, n_stop: int,
+                     logmax: float, prec_bits: int) -> float:
+    """sum_{n=1}^{n_stop} (-1)^(n-1) |term_n|: the length CDF, or the density
+    if ``pdf``, at x.
+
+    ``logmax`` bounds the largest log term.  With no explicit precision and
+    terms of at most 2**30 the sum is one float64 pass over
+    :func:`_log_terms`.  Otherwise :func:`_mp_sum` sums it, at ``prec_bits``
+    as given or at the precision that returns the correctly rounded float: a
+    log term is off by about n_stop ulps of its largest log-Gamma piece
+    P ~ lgamma(2 n_stop + 2), exp turns that into a relative error of each
+    term, and the sum must keep _ROUND_BITS of max|term| / |sum|.  The first
+    pass assumes |sum| >= 2**-_SUM_FLOOR_BITS and sums once more at the
+    precision |sum| asks for if it is smaller.
+    """
+    if not prec_bits and logmax <= _FLOAT64_MAX_LOG_TERM:
+        n = np.arange(1, n_stop + 1, dtype=np.float64)
+        terms = np.exp(_log_terms(q, lamq, x, n, pdf))
+        terms[1::2] *= -1.0
+        # ascending-order pairwise reduction is fine at this magnitude
+        return float(terms.sum())
+    spread = max(logmax, 0.0) / _LN2 + math.log2(n_stop * math.lgamma(2 * n_stop + 2))
+    bits = _bits(prec_bits, int(spread) + _ROUND_BITS + _SUM_FLOOR_BITS)
+    total, maxterm = _mp_sum(q, lamq, x, pdf, n_stop, bits)
+    if not prec_bits and total and mp.mag(total) < 1 - _SUM_FLOOR_BITS:
+        bits = int(spread) + _ROUND_BITS + 1 - mp.mag(total)
+        total, maxterm = _mp_sum(q, lamq, x, pdf, n_stop, bits)
+    if maxterm > abs(total) * mp.mpf(2) ** (bits - _GUARD_BITS):
+        raise CancellationError(
+            f"lost all but {_GUARD_BITS} guard bits at {bits} bits; raise prec_bits"
+        )
+    return float(total)
+
+
+def _mp_sum(q: float, lamq: float, x: float, pdf: bool, n_stop: int, bits: int):
+    """(sum, max|term|) of the length series in mpmath at ``bits``.
+
+    The log terms are those of :func:`_log_terms`, one n at a time.  log
+    Gamma at an integer m is log (m-1)!, read from this sum's table of log k!,
+    which grows by cumulative mp.log(k) sums.
+    """
+    with mp.workprec(bits):
+        q, lf = mp.mpf(q), mp.log(mp.mpf(lamq) * mp.mpf(x))
+        lx = mp.log(mp.mpf(x)) if pdf else None
+        log_fact = [mp.mpf(0)]
+
+        def lgamma(m):
+            if not mp.isint(m):
+                return mp.loggamma(m)
+            m = int(m)
+            while len(log_fact) < m:
+                log_fact.append(log_fact[-1] + mp.log(len(log_fact)))
+            return log_fact[m - 1]
+
+        total = maxterm = mp.mpf(0)
+        for n in range(1, n_stop + 1):
+            lt = lgamma(n / q + 1) - lgamma(n / q - n + 2) + n * lf - 2 * lgamma(n + 1)
+            if pdf:
+                lt += mp.log(n) - lx
+            term = mp.exp(lt)
+            maxterm = max(maxterm, term)
+            total += term if n % 2 == 1 else -term
+        return total, maxterm
+
+
 def _length_series(q: float, lam: float, x: float, pdf: bool, prec_bits: int) -> float:
     _check_q_lam(q, lam)
+    q = float(q)  # a Fraction q too: both sums take a float
     _check_finite(x)
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -313,7 +274,7 @@ def _length_series(q: float, lam: float, x: float, pdf: bool, prec_bits: int) ->
     n_stop, logmax = _length_scan(q, lamq, x)
     if pdf:
         logmax += math.log(max(n_stop, 1)) - math.log(x)
-    return _alternating_sum(_length_log_term(q, lamq, x, pdf), n_stop, logmax, prec_bits)
+    return _alternating_sum(q, lamq, x, pdf, n_stop, logmax, prec_bits)
 
 
 def length_pdf(q: float, lam: float, x: float, *, prec_bits: int = 0) -> float:
@@ -339,6 +300,7 @@ def length_cdf_grid(q: float, lam: float, xs) -> np.ndarray:
     precision, that is beyond :func:`length_cdf_grid_limit`.
     """
     _check_q_lam(q, lam)
+    q = float(q)
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.zeros(0)
@@ -357,7 +319,7 @@ def length_cdf_grid(q: float, lam: float, xs) -> np.ndarray:
         )
     # the coefficients of x^n are the terms at x = 1
     n = np.arange(1, n_stop + 1, dtype=np.float64)
-    coeff = np.exp(_length_log_term(q, lamq, 1.0)(_Float64)(n))
+    coeff = np.exp(_log_terms(q, lamq, 1.0, n))
     coeff[1::2] *= -1.0
     out = np.zeros_like(xs)
     pos = xs > 0
@@ -373,6 +335,7 @@ def length_cdf_grid_limit(q: float, lam: float) -> float:
     """The largest x (to 40 bisection steps) that :func:`length_cdf_grid`
     evaluates in float64."""
     _check_q_lam(q, lam)
+    q = float(q)
     lamq = lam * q
 
     def fits(x):
@@ -451,6 +414,11 @@ def length_cdf_bessel_binary(lam: float, x: float, *, prec_bits: int = 0) -> flo
 # --------------------------------------------------------------------- #
 # Size (edge count) distribution                                          #
 # --------------------------------------------------------------------- #
+
+
+def _B_numer(n: int, a: int, b: int) -> int:
+    """a^(n-1) B_n = prod_{j=0}^{n-2} (n b - j a): exact B_n for q = a/b."""
+    return math.prod(range(n * b, n * b - (n - 1) * a, -a))
 
 
 def size_pmf(q, n: int):

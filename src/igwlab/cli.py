@@ -229,6 +229,14 @@ def _report(spec, args):
         raise ValueError(f"{args.path}: the file has no record")
 
 
+def _prec_bits(text: str) -> int:
+    """--prec-bits: 0 (automatic) or an explicit precision of at least 53 bits."""
+    bits = int(text) if text.isdecimal() else -1
+    if bits != 0 and bits < 53:
+        raise argparse.ArgumentTypeError(f"{text!r} is neither 0 (automatic) nor an int >= 53")
+    return bits
+
+
 # every option by the name it is read under: (flags, argparse keywords).  A
 # spec field takes its type from ExperimentSpec; max_censor_rate and chunk
 # have no flag and are set in config files only.  Empty flags: a positional.
@@ -245,7 +253,8 @@ _OPTIONS = {
     "log": (["--log"], dict(help="CSV of interior cut points")),
     "q": (["--q"], dict(type=float, required=True)),
     "x_grid": (["--x-grid"], dict(default="0:10:0.1", help="lo:hi:step")),
-    "prec_bits": (["--prec-bits"], dict(type=int, help="0 = automatic (default), else >= 53")),
+    "prec_bits": (["--prec-bits"],
+                  dict(type=_prec_bits, help="0 = automatic (default), else >= 53")),
     "csv": (["--out"], dict(help="CSV path (default stdout)")),
     "iterations": (["--iterations"], dict(type=int, help="leaf-pruning rounds, phi ord")),
     "path": ([], {}),

@@ -102,6 +102,11 @@ class TestLength:
             assert A.length_cdf(0.5, 1.0, x, prec_bits=150) == pytest.approx(
                 A.length_cdf(0.5, 1.0, x), abs=1e-12)
 
+    def test_fraction_q_reads_as_its_float(self):
+        # the mpmath sum raised TypeError: cannot create mpf from Fraction(1, 2)
+        for f in (A.length_cdf, A.length_pdf):
+            assert f(Fraction(1, 2), 1.0, 30.0) == f(0.5, 1.0, 30.0)
+
     def test_cancellation_guard_raises(self):
         with pytest.raises(A.CancellationError):
             A.length_cdf(0.5, 1.0, 120.0, prec_bits=53)
@@ -155,6 +160,14 @@ class TestLength:
                   partial(A.length_pdf_bessel_binary, 1.0)):
             with pytest.raises(ValueError, match=f"x must be finite, not {x!r}"):
                 f(x)
+        # the height law keeps its limits at inf, and used to return nan at nan
+        if math.isinf(x):
+            assert (A.height_cdf(0.5, 1.0, x), A.height_survival_pt(0.5, 1.0, x)) == (1.0, 0.0)
+            return
+        for f, name in ((A.height_cdf, "x"), (A.height_survival_pt, "t"),
+                        (lambda q, lam, x: A.height_cdf(q, lam, [1.0, x]), "x")):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0, not nan"):
+                f(0.5, 1.0, x)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_needs_a_finite_lam(self, lam):

@@ -476,6 +476,8 @@ class TestCLI:
         assert code == 2
         cap = capsys.readouterr()
         assert cap.out == "" and cap.err.splitlines()[-1].startswith("igwlab dist")
+        if "--prec-bits" in argv:  # a bad precision used to be rejected without its flag
+            assert "--prec-bits" in cap.err.splitlines()[-1]
 
     def test_verify_verb_exit_code(self):
         assert cli_main(["verify", "height", "--dist", "igw:0.5", "--n", "8000",

@@ -5,7 +5,8 @@ it is pinned here as the float of the ``Fraction`` law.  Past the float64
 range the length series is summed in mpmath at a precision sized to return
 the correctly rounded float.  Each case draws its parameters from
 ``CounterStream(SEED, case, domain)``, so a failing case reproduces from its
-number alone.  The length oracles are the Bessel closed forms at q = 1/2
+number alone; the one named case, ``second-pass``, is a density small enough
+that the auto-precision sum runs a second time.  The length oracles are the Bessel closed forms at q = 1/2
 and, at other q, the same series at ``prec_bits=1200`` (1,200 and 3,000 bits
 agree on every case).  Every length point lies past the float64 range, where
 the largest term exceeds 2**30.
@@ -54,10 +55,18 @@ def test_binary_length_law_equals_bessel(case):
           "pdf " + what)
 
 
-@pytest.mark.parametrize("case", range(3))
+# length_pdf(0.9, 1, 120) is about 2**-16.3, below the value the first
+# auto-precision pass assumes, so it is the one case summed a second time
+SECOND_PASS = (0.9, 120.0, A.length_pdf)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, SECOND_PASS], ids=["0", "1", "2", "second-pass"])
 def test_length_law_equals_high_precision_sum(case):
-    u = _draw(case, 3)
-    q = NAMED_Q[case + 1] if case + 1 < len(NAMED_Q) else float(0.5 + 0.5 * u[0])
-    x = float(30.0 + 50.0 * u[1])
-    f = A.length_cdf if u[2] < 0.5 else A.length_pdf
+    if case == SECOND_PASS:
+        q, x, f = case
+    else:
+        u = _draw(case, 3)
+        q = NAMED_Q[case + 1] if case + 1 < len(NAMED_Q) else float(0.5 + 0.5 * u[0])
+        x = float(30.0 + 50.0 * u[1])
+        f = A.length_cdf if u[2] < 0.5 else A.length_pdf
     _same(f(q, 1.0, x), f(q, 1.0, x, prec_bits=1200), f"case {case}: {f.__name__}({q!r}, 1, {x!r})")
